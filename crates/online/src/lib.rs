@@ -136,6 +136,6 @@ pub mod mutation;
 
 pub use error::{InterruptCause, MutationError, OnlineError};
 pub use maintain::{
-    rebuild_from_history, EpochReport, MaintainerOptions, PoolMaintainer, Staleness,
+    rebuild_from_history, EpochReport, MaintainerOptions, PoolMaintainer, Staleness, REPLAY_BLOCK,
 };
 pub use mutation::{apply_mutations, validate_mutations, EpochBatch, Mutation, MutationLog};

@@ -24,7 +24,8 @@
 //!    [`Staleness::ExactTrace`] — a *conditional replay* of each stale
 //!    sample's retained coin trace that redraws only the coins the batch
 //!    actually mutated (per-sample streams seeded from
-//!    `(base_seed, epoch, ordinal)`), keeping the pool
+//!    `(base_seed, epoch, ordinal)`, replayed in the phase-I kernel in
+//!    [`REPLAY_BLOCK`]s spread over the worker threads), keeping the pool
 //!    distribution-fresh under partial churn.
 //!
 //! Every step is a pure function of `(initial graph, base_seed, options,
@@ -35,17 +36,17 @@
 //! instead of tombstones) reproduces the compacted arena byte for byte —
 //! in every staleness mode.
 
-use std::collections::HashSet;
-
 use kboost_core::PrrPool;
 use kboost_graph::{DiGraph, NodeId};
 use kboost_obs::{Obs, Value};
 use kboost_prr::{
     greedy_delta_selection, DeltaSelection, FootprintColumn, FootprintMode, FootprintQuery,
     LegacyFpSource, LegacyPrrSource, LegacySample, LegacyTraceSample, LegacyTraceSource, NodeIndex,
-    PrrArena, PrrArenaShard, PrrFullSource, PrrGenerator, PrrOutcome,
+    PrrArena, PrrArenaShard, PrrFullSource, PrrGenerator, PrrOutcome, ReplayCoins, ReplayPlan,
 };
-use kboost_rrset::sketch::{epoch_stream_seed, ExtendStatus, SketchPool, CHUNK_SIZE};
+use kboost_rrset::sketch::{
+    epoch_stream_seed, for_chunks_in_order, ExtendStatus, SketchPool, SketchShard, CHUNK_SIZE,
+};
 use kboost_rrset::terminator::{SampleProgress, Terminator, Unlimited};
 use kboost_serve::{PoolSnapshot, SnapshotService};
 use rand::rngs::SmallRng;
@@ -122,8 +123,8 @@ pub enum Staleness {
     /// **distribution-fresh** under partial churn — identical in law to
     /// a from-scratch pool over the new graph — closing the
     /// unconditioned-redraw caveat the other exact tiers document. The
-    /// cost is the trace sidecar's memory and a scalar (non-kernel)
-    /// sampling path.
+    /// cost is the trace sidecar's memory; capture and replay both run in
+    /// the data-oriented phase-I kernel.
     ExactTrace,
 }
 
@@ -369,41 +370,49 @@ fn matches_stale_scan(
         .collect()
 }
 
-/// Classifies a mutation batch against the **pre-batch** graph into the
-/// two redraw predicates conditional replay needs:
+/// Classifies a mutation batch against the **pre-batch** graph `old` into
+/// the [`ReplayPlan`] conditional replay over the post-batch graph `new`
+/// consults:
 ///
-/// * `redraw_node[v]` — head `v`'s in-edge list changed *structurally*
-///   (an edge was inserted or removed), so recorded in-list positions no
-///   longer line up and every coin at `v` is drawn fresh;
-/// * `redraw_edge ∋ (u, v)` — edge `(u, v)` existed and only its
-///   probabilities were rewritten: in-edge lists are sorted by source, so
-///   every position is stable and exactly this one coin redraws.
+/// * a **structural** head — an edge into it was inserted or removed, so
+///   recorded in-list positions no longer line up and every coin at the
+///   head is drawn fresh;
+/// * a **rewritten** edge `(u, v)` — it existed and only its
+///   probabilities changed: in-edge lists are sorted by source, so every
+///   position is stable and exactly this one coin redraws.
 ///
 /// Classification is conservative in the safe direction: a fresh draw is
 /// always distribution-correct, so compound batches (remove-then-insert
-/// of the same edge, say) simply fall back to node-level redraw.
-fn replay_redraw_sets(old: &DiGraph, mutations: &[Mutation]) -> (Vec<bool>, HashSet<(u32, u32)>) {
-    let mut redraw_node = vec![false; old.num_nodes()];
-    let mut redraw_edge: HashSet<(u32, u32)> = HashSet::new();
+/// of the same edge, say) simply fall back to head-level redraw.
+fn replay_plan(old: &DiGraph, new: &DiGraph, mutations: &[Mutation]) -> ReplayPlan {
+    let mut structural = Vec::new();
+    let mut rewritten = Vec::new();
     for m in mutations {
         match *m {
             Mutation::Upsert { from, to, .. } => {
                 if old.has_edge(from, to) {
-                    redraw_edge.insert((from.0, to.0));
+                    rewritten.push((from, to));
                 } else {
-                    redraw_node[to.index()] = true;
+                    structural.push(to);
                 }
             }
             Mutation::Remove { from, to } => {
                 if old.has_edge(from, to) {
-                    redraw_node[to.index()] = true;
+                    structural.push(to);
                 }
                 // Removing an absent edge is a graph no-op: reuse is exact.
             }
         }
     }
-    (redraw_node, redraw_edge)
+    ReplayPlan::new(new, structural, rewritten)
 }
+
+/// Stale samples per replay block: the unit of work the refresh's workers
+/// pull. Each replay draws from its own `(stream, ordinal)` RNG, so the
+/// block size only shapes load balance, never the replayed bytes — small
+/// enough that an epoch's few dozen size-biased replays spread over every
+/// worker.
+pub const REPLAY_BLOCK: u64 = 4;
 
 /// The RNG seed of replayed sample `ordinal` within epoch stream
 /// `stream` ([`epoch_stream_seed`]) — the trace tier's extension of the
@@ -745,11 +754,18 @@ impl PoolMaintainer {
     /// The trace tier's compute-phase refresh: conditionally replays
     /// every stale sample — stored stale in ascending arena order, then
     /// stale empties in ascending empty-column order — over `new_graph`
-    /// into a private shard, reusing each sample's retained coins on
-    /// untouched edges and redrawing only what `batch` mutated. Reads the
-    /// maintainer but never mutates it; the terminator is polled at
-    /// [`CHUNK_SIZE`] replay boundaries like the sampled path polls its
-    /// chunk stream, so cancellation rolls the epoch back identically.
+    /// in the data-oriented kernel, reusing each sample's retained coins
+    /// on untouched edges and redrawing only what `batch` mutated.
+    ///
+    /// The replay ordinals are cut into [`REPLAY_BLOCK`]s that the
+    /// maintainer's worker threads pull from a shared counter; each block
+    /// replays into its own shard and the shards are absorbed in ordinal
+    /// order, so the result is the same at every thread count. The
+    /// terminator is polled before each block with the progress of the
+    /// [`CHUNK_SIZE`] chunk the block falls in, so cancellation rolls the
+    /// epoch back like the sampled path's chunk stream. Reads the
+    /// maintainer but never mutates it. Each block flushes its coin
+    /// counts to `online.replay.coins_{reused,redrawn}` once.
     fn replay_refresh<T: Terminator + ?Sized>(
         &self,
         new_graph: &DiGraph,
@@ -758,36 +774,56 @@ impl PoolMaintainer {
         stale_empty: &[u32],
         term: &T,
     ) -> (PrrArenaShard, ExtendStatus) {
-        let mode = self.opts.staleness.footprint_mode();
-        let (redraw_node, redraw_edge) = replay_redraw_sets(&self.graph, &batch.mutations);
-        let is_node = |u: u32| redraw_node[u as usize];
-        let is_edge = |u: u32, v: u32| redraw_edge.contains(&(u, v));
-        let generator = PrrGenerator::new_scalar_oracle(new_graph, &self.seeds, self.opts.k);
+        let plan = replay_plan(&self.graph, new_graph, &batch.mutations);
+        let generator = PrrGenerator::new(new_graph, &self.seeds, self.opts.k);
         let stream = epoch_stream_seed(self.opts.base_seed, batch.epoch);
         let arena = self.pool.arena();
+        let trace = |ordinal: usize| match stale.get(ordinal) {
+            Some(&gi) => arena.footprints().trace(gi as usize),
+            None => arena
+                .empty_footprints()
+                .trace(stale_empty[ordinal - stale.len()] as usize),
+        };
+        let total = (stale.len() + stale_empty.len()) as u64;
+        let blocks = total.div_ceil(REPLAY_BLOCK);
         let mut shard = PrrArenaShard::new();
-        let mut ordinal: u64 = 0;
-        let stored_traces = stale
-            .iter()
-            .map(|&gi| arena.footprints().trace(gi as usize));
-        let empty_traces = stale_empty
-            .iter()
-            .map(|&ei| arena.empty_footprints().trace(ei as usize));
-        #[allow(clippy::explicit_counter_loop)] // ordinal doubles as the seed stream position
-        for trace in stored_traces.chain(empty_traces) {
-            if ordinal.is_multiple_of(CHUNK_SIZE)
-                && term.should_stop(&SampleProgress {
-                    samples: ordinal,
-                    chunk: ordinal / CHUNK_SIZE,
+        let completed = for_chunks_in_order(
+            blocks,
+            self.opts.threads,
+            |b| {
+                let first = b * REPLAY_BLOCK;
+                term.should_stop(&SampleProgress {
+                    samples: first,
+                    chunk: first / CHUNK_SIZE,
                 })
-            {
-                return (shard, ExtendStatus::Interrupted);
-            }
-            let mut rng = SmallRng::seed_from_u64(replay_sample_seed(stream, ordinal));
-            generator.replay_into_fp(trace, &is_node, &is_edge, &mut rng, &mut shard, mode);
-            ordinal += 1;
-        }
-        (shard, ExtendStatus::Completed)
+            },
+            |b| {
+                let mut block = PrrArenaShard::new();
+                let mut coins = ReplayCoins::default();
+                for ordinal in b * REPLAY_BLOCK..((b + 1) * REPLAY_BLOCK).min(total) {
+                    let mut rng = SmallRng::seed_from_u64(replay_sample_seed(stream, ordinal));
+                    generator.replay_into_fp(
+                        trace(ordinal as usize),
+                        &plan,
+                        &mut rng,
+                        &mut block,
+                        &mut coins,
+                    );
+                }
+                self.obs
+                    .counter_add("online.replay.coins_reused", coins.reused);
+                self.obs
+                    .counter_add("online.replay.coins_redrawn", coins.redrawn);
+                block
+            },
+            |block| shard.absorb(block),
+        );
+        let status = if completed == blocks {
+            ExtendStatus::Completed
+        } else {
+            ExtendStatus::Interrupted
+        };
+        (shard, status)
     }
 
     /// Applies one sealed epoch: mutates the graph, tombstones the stale
@@ -1233,7 +1269,7 @@ fn rebuild_trace(
     for batch in history {
         let g_new = apply_mutations(&g, &batch.mutations)
             .expect("replayed batches were validated when first applied");
-        let (redraw_node, redraw_edge) = replay_redraw_sets(&g, &batch.mutations);
+        let plan = replay_plan(&g, &g_new, &batch.mutations);
         let q = FootprintQuery::new(mode, &mutation_heads(&batch.mutations), n);
 
         // Partition preserving retained order; stale stored before stale
@@ -1265,8 +1301,7 @@ fn rebuild_trace(
             let mut trace = Vec::new();
             let out = generator.replay_with_footprint_trace(
                 old_trace,
-                &|u| redraw_node[u as usize],
-                &|u, v| redraw_edge.contains(&(u, v)),
+                &plan,
                 &mut rng,
                 &mut footprint,
                 &mut trace,
@@ -1736,30 +1771,37 @@ mod tests {
     #[test]
     fn trace_refresh_is_cancellable_and_rolls_back() {
         use kboost_rrset::terminator::StopAtChunk;
-        let mut opts = quick_opts(1_500, 2);
-        opts.staleness = Staleness::ExactTrace;
-        let mut m = PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts).unwrap();
-        let mut log = MutationLog::new();
-        log.remove_edge(NodeId(1), NodeId(3));
-        let batch = log.seal_epoch();
-        let arena_before = m.pool().arena().clone();
+        // At 2 threads the replay blocks run on two workers.
+        for threads in [1usize, 2] {
+            let mut opts = quick_opts(1_500, threads);
+            opts.staleness = Staleness::ExactTrace;
+            let mut m = PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts).unwrap();
+            let mut log = MutationLog::new();
+            log.remove_edge(NodeId(1), NodeId(3));
+            let batch = log.seal_epoch();
+            let arena_before = m.pool().arena().clone();
 
-        // Stop before the first replay chunk: the epoch must roll back.
-        assert_eq!(
-            m.apply_epoch_within(&batch, &StopAtChunk(0)).unwrap_err(),
-            OnlineError::Interrupted {
-                epoch: 1,
-                cause: InterruptCause::Cancelled
-            }
-        );
-        assert_eq!(m.epoch(), 0);
-        assert!(*m.pool().arena() == arena_before, "rollback must be exact");
+            // Stop before the first replay chunk: the epoch must roll back.
+            assert_eq!(
+                m.apply_epoch_within(&batch, &StopAtChunk(0)).unwrap_err(),
+                OnlineError::Interrupted {
+                    epoch: 1,
+                    cause: InterruptCause::Cancelled
+                }
+            );
+            assert_eq!(m.epoch(), 0);
+            assert!(*m.pool().arena() == arena_before, "rollback must be exact");
 
-        // Retrying the identical batch succeeds; totals stay balanced.
-        let report = m.apply_epoch(&batch).unwrap();
-        assert!(report.invalidated > 0);
-        assert_eq!(report.invalidated, report.drawn_stored + report.drawn_empty);
-        assert_eq!(m.pool().total_samples(), 1_500);
+            // Retrying the identical batch succeeds, keeps totals balanced
+            // and matches an uninterrupted maintainer exactly.
+            let report = m.apply_epoch(&batch).unwrap();
+            assert!(report.invalidated > 2 * REPLAY_BLOCK * threads as u64);
+            assert_eq!(report.invalidated, report.drawn_stored + report.drawn_empty);
+            assert_eq!(m.pool().total_samples(), 1_500);
+            let mut fresh = PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts).unwrap();
+            assert_eq!(fresh.apply_epoch(&batch).unwrap(), report);
+            assert!(*m.pool().arena() == *fresh.pool().arena());
+        }
     }
 
     #[test]

@@ -347,21 +347,9 @@ impl PrrArena {
     }
 
     /// Streaming-path variant of [`push_parts`](Self::push_parts) that
-    /// also records the sample's footprint.
-    pub(crate) fn push_parts_fp(
-        &mut self,
-        parts: &CompressedParts,
-        footprint: &[u32],
-        mode: FootprintMode,
-    ) {
-        debug_assert!(mode.is_on());
-        self.push_parts(parts);
-        self.fp.ensure_mode(mode);
-        self.fp.push(footprint);
-    }
-
-    /// [`push_parts_fp`](Self::push_parts_fp) with the sample's phase-I
-    /// trace sidecar attached ([`FootprintMode::Trace`]).
+    /// also records the sample's footprint and, under
+    /// [`FootprintMode::Trace`], its phase-I trace sidecar (`trace` must
+    /// be empty in every other mode).
     pub(crate) fn push_parts_fp_trace(
         &mut self,
         parts: &CompressedParts,
@@ -726,25 +714,9 @@ impl PrrArenaShard {
         self.0.push_parts(parts);
     }
 
-    /// Appends one graph plus its sampling footprint (exact-staleness
-    /// pipeline).
-    pub(crate) fn push_parts_fp(
-        &mut self,
-        parts: &CompressedParts,
-        footprint: &[u32],
-        mode: FootprintMode,
-    ) {
-        self.0.push_parts_fp(parts, footprint, mode);
-    }
-
-    /// Records an empty sample's footprint (exact-staleness pipeline).
-    pub(crate) fn push_empty_footprint(&mut self, footprint: &[u32], mode: FootprintMode) {
-        self.0.push_empty_footprint(footprint, mode);
-    }
-
-    /// Trace-sidecar variant of
-    /// [`push_parts_fp`](Self::push_parts_fp)
-    /// (conditional-refresh pipeline).
+    /// Appends one graph plus its sampling footprint and trace sidecar
+    /// (exact-staleness pipeline; `trace` is empty unless
+    /// [`FootprintMode::Trace`]).
     pub(crate) fn push_parts_fp_trace(
         &mut self,
         parts: &CompressedParts,
@@ -755,8 +727,9 @@ impl PrrArenaShard {
         self.0.push_parts_fp_trace(parts, footprint, trace, mode);
     }
 
-    /// Trace-sidecar variant of
-    /// [`push_empty_footprint`](Self::push_empty_footprint).
+    /// Records an empty sample's footprint and trace sidecar
+    /// (exact-staleness pipeline; `trace` is empty unless
+    /// [`FootprintMode::Trace`]).
     pub(crate) fn push_empty_footprint_trace(
         &mut self,
         footprint: &[u32],

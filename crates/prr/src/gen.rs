@@ -14,20 +14,27 @@
 //! Two implementations of the same sampler coexist here, byte-for-byte
 //! equivalent by construction and by test:
 //!
-//! * the **scalar oracle** ([`phase1`](PrrGenerator)) — the original
-//!   readable loop over [`DiGraph::in_edges`], one `rng.random::<f64>()`
-//!   per touched edge, fresh `Vec`s per sample. Generators built with
-//!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point.
-//! * the **kernel** (`phase1_kernel`) — the throughput path used by
-//!   generators built with [`PrrGenerator::new`]. It walks the flat
-//!   [`InEdgeSoa`] probability lanes instead of zipped `EdgeProbs`
-//!   structs, refills a fixed scratch buffer of uniforms through bulk
-//!   [`RngCore::fill_u64`] calls (consumed in the exact one-draw-per-edge
-//!   order of the scalar loop, so the stream is bit-identical), keeps the
-//!   BFS deque, edge list, and seed buffer in the thread-local
-//!   [`GenScratch`] so steady-state sampling performs no heap allocation,
-//!   and emits *sample-local* node ids as it goes — phase II consumes them
-//!   directly and skips its global→local relabeling pass.
+//! * the **kernel** (`phase1_kernel`) — the path of every generator built
+//!   with [`PrrGenerator::new`]. It walks the flat [`InEdgeSoa`]
+//!   probability lanes instead of zipped `EdgeProbs` structs, refills a
+//!   fixed scratch buffer of uniforms through bulk [`RngCore::fill_u64`]
+//!   calls (consumed in the exact one-draw-per-edge order of the scalar
+//!   loop, so the stream is bit-identical), keeps the BFS deque, edge
+//!   list, and seed buffer in the thread-local [`GenScratch`] so
+//!   steady-state sampling performs no heap allocation, and emits
+//!   *sample-local* node ids as it goes — phase II consumes them directly
+//!   and skips its global→local relabeling pass. The kernel is generic
+//!   over a monomorphized *coin policy* that decides where each in-edge's
+//!   three-way coin comes from: `Fresh` (a batched uniform draw; the
+//!   policy compiles away), `Record` (a fresh draw whose outcome is also
+//!   written into the sample's trace, [`FootprintMode::Trace`]) and
+//!   `Replay` (conditional replay, below).
+//! * the **scalar oracle** (`phase1_tr` for fresh and recorded samples,
+//!   `phase1_replay` for replays) — the original readable loop over
+//!   [`DiGraph::in_edges`], one `rng.random::<f64>()` per drawn coin,
+//!   fresh `Vec`s per sample. Generators built with
+//!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point, as
+//!   do the per-graph legacy entry points.
 //!
 //! The only stream subtlety is the early `Activated` return: the scalar
 //! loop stops mid-in-edge-list having consumed exactly one draw per edge
@@ -36,6 +43,18 @@
 //! before each refill and, on early return after batch index `j`, restores
 //! the snapshot and replays exactly `j + 1` draws — leaving the RNG in the
 //! scalar loop's exact state.
+//!
+//! # Conditional replay
+//!
+//! A trace-retaining sample can be *replayed* over a mutated graph: the
+//! BFS re-runs from the recorded root and each in-edge's coin is the
+//! recorded outcome, except where a [`ReplayPlan`] voids it (the head's
+//! in-edge list changed structurally, or the edge was rewritten in place),
+//! where the node has no record or one of a different in-degree, or where
+//! the record says the coin was never drawn. Only those coins are drawn
+//! fresh. The old trace is indexed once per replay into a stamped
+//! per-node `(offset, in-degree)` table in the thread-local scratch, so
+//! the per-edge lookup is an array read, never a hash probe.
 //!
 //! # Edge-space footprints
 //!
@@ -50,7 +69,7 @@
 //! footprint-on and footprint-off pools draw identical streams.
 
 use kboost_diffusion::sim::BoostMask;
-use kboost_graph::{DiGraph, InEdgeSoa, NodeId};
+use kboost_graph::{DiGraph, EdgeProbs, InEdgeSoa, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
@@ -58,7 +77,7 @@ use crate::arena::PrrArenaShard;
 use crate::compress::{
     compress, compress_locals_into, compress_parts, CompressedParts, LEDGE_BOOST, LEDGE_MASK,
 };
-use crate::footprint::{read_varint, write_varint, FootprintMode};
+use crate::footprint::{write_varint, FootprintMode};
 use crate::graph::CompressedPrr;
 
 /// 2-bit trace outcome: the edge was sampled live.
@@ -107,38 +126,125 @@ impl TraceBuf {
     }
 }
 
-/// Parsed read-only view of a trace blob: the retained root plus a
-/// node → (captured in-degree, outcome-byte offset) index.
-struct TraceView<'a> {
-    root: u32,
-    records: std::collections::HashMap<u32, (u32, usize)>,
-    blob: &'a [u8],
+/// [`TraceBuf`]'s three-way classification of a uniform draw `x`.
+#[inline(always)]
+fn classify(x: f64, p: EdgeProbs) -> u8 {
+    if x < p.base {
+        TRACE_LIVE
+    } else if x < p.boosted {
+        TRACE_BOOST
+    } else {
+        TRACE_BLOCKED
+    }
 }
 
-impl<'a> TraceView<'a> {
-    fn parse(blob: &'a [u8]) -> Self {
-        let mut pos = 0usize;
-        let root = read_varint(blob, &mut pos);
-        let mut records = std::collections::HashMap::new();
-        while pos < blob.len() {
-            let v = read_varint(blob, &mut pos);
-            let deg = read_varint(blob, &mut pos);
-            records.insert(v, (deg, pos));
-            pos += (deg as usize).div_ceil(4);
+/// The 2-bit outcome at in-edge position `pos` of the trace record whose
+/// outcome bytes start at `off`.
+#[inline]
+fn recorded_outcome(blob: &[u8], off: usize, pos: usize) -> u8 {
+    (blob[off + pos / 4] >> ((pos % 4) * 2)) & 0b11
+}
+
+/// LEB128 read at `*pos` that returns `None` at the end of `bytes` (or on
+/// an over-long encoding) instead of panicking — traces reach replay
+/// through the public API, so a malformed one must not crash it.
+fn try_read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let mut v = 0u32;
+    for shift in (0..35).step_by(7) {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        v |= ((b & 0x7F) as u32) << shift;
+        if b & 0x80 == 0 {
+            return Some(v);
         }
-        TraceView {
-            root,
-            records,
-            blob,
+    }
+    None
+}
+
+/// Plan flag: the head's in-edge list changed structurally.
+const PLAN_STRUCTURAL: u8 = 1;
+/// Plan flag: at least one in-edge of the head was rewritten in place.
+const PLAN_REWRITTEN: u8 = 2;
+
+/// Which recorded coins a mutation batch voids, in the form conditional
+/// replay consults per expanded node. Built once per batch over the
+/// post-batch graph and shared read-only by every replay of the epoch.
+///
+/// * A **structural** head (an in-edge was inserted or removed) redraws
+///   every coin of its in-edge list: recorded positions no longer line
+///   up.
+/// * A **rewritten** edge (probabilities changed in place) redraws only
+///   its own coin. In-edge lists are sorted by source, so its position is
+///   stable. Rewritten edges are stored as a per-head flag plus a sorted
+///   set of `(head, in-edge position)` slots that is probed only at
+///   flagged heads.
+///
+/// A fresh draw is always distribution-correct, so a plan that
+/// over-redraws is safe; one that under-redraws is not (a node whose
+/// in-degree changed is still caught by the record's degree check).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReplayPlan {
+    flags: Vec<u8>,
+    slots: Vec<u64>,
+}
+
+impl ReplayPlan {
+    /// A plan over `graph` — the graph the replays run on — that redraws
+    /// every coin of the `structural` heads and the single coin of each
+    /// `rewritten` edge `(from, to)`. Out-of-range heads and rewritten
+    /// edges absent from `graph` are ignored.
+    pub fn new(
+        graph: &DiGraph,
+        structural: impl IntoIterator<Item = NodeId>,
+        rewritten: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Self {
+        let mut flags = vec![0u8; graph.num_nodes()];
+        for v in structural {
+            if let Some(f) = flags.get_mut(v.index()) {
+                *f |= PLAN_STRUCTURAL;
+            }
         }
+        let mut slots = Vec::new();
+        for (from, to) in rewritten {
+            if to.index() >= flags.len() {
+                continue;
+            }
+            if let Some(i) = graph.in_edges(to).position(|(s, _)| s == from) {
+                flags[to.index()] |= PLAN_REWRITTEN;
+                slots.push(Self::slot(to.0, i));
+            }
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        ReplayPlan { flags, slots }
     }
 
-    /// The 2-bit outcome recorded at in-edge position `pos` of the record
-    /// whose outcome bytes start at `off`.
     #[inline]
-    fn outcome(&self, off: usize, pos: usize) -> u8 {
-        (self.blob[off + pos / 4] >> ((pos % 4) * 2)) & 0b11
+    fn slot(head: u32, pos: usize) -> u64 {
+        ((head as u64) << 32) | pos as u64
     }
+
+    /// The plan flags of head `v` (0 outside the plan's universe).
+    #[inline]
+    fn flags(&self, v: u32) -> u8 {
+        self.flags.get(v as usize).copied().unwrap_or(0)
+    }
+
+    /// Whether in-edge position `pos` of head `v` was rewritten.
+    #[inline]
+    fn rewrites(&self, v: u32, pos: usize) -> bool {
+        self.slots.binary_search(&Self::slot(v, pos)).is_ok()
+    }
+}
+
+/// Coin accounting of conditional replays: in-edge coins taken from the
+/// old trace and coins drawn fresh. Accumulates across calls.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayCoins {
+    /// Coins whose recorded outcome was reused.
+    pub reused: u64,
+    /// Coins drawn fresh from the replay's RNG.
+    pub redrawn: u64,
 }
 
 /// Result of generating one PRR-graph.
@@ -229,9 +335,19 @@ struct NodeMeta {
     lid: u32,
 }
 
+/// One node's record in the old trace of a replay, stamped with the
+/// scratch round that indexed it: the captured in-degree and the offset
+/// of the record's outcome bytes in the blob.
+#[derive(Clone, Copy, Default)]
+struct TraceRec {
+    stamp: u32,
+    deg: u32,
+    off: u32,
+}
+
 /// Per-thread scratch: stamped per-node state sized to the host graph,
 /// plus the kernel's reusable BFS deque, local-id node/edge/seed output
-/// lists, and uniform batch buffer.
+/// lists, uniform batch buffer, and the replay's per-node trace index.
 struct GenScratch {
     meta: Vec<NodeMeta>,
     round: u32,
@@ -244,6 +360,10 @@ struct GenScratch {
     /// Kernel output: local ids of the seeds discovered by the BFS.
     lseeds: Vec<u32>,
     uniforms: Vec<u64>,
+    /// Replay only: the old trace's records by node, valid where stamped
+    /// with the current round. Sized lazily, so fresh sampling never
+    /// touches it.
+    recs: Vec<TraceRec>,
 }
 
 impl GenScratch {
@@ -258,6 +378,7 @@ impl GenScratch {
             ledges: Vec::new(),
             lseeds: Vec::new(),
             uniforms: Vec::new(),
+            recs: Vec::new(),
         }
     }
 
@@ -271,12 +392,17 @@ impl GenScratch {
                 };
                 n
             ];
+            // The round restarts, so every stamp of the old size is void.
+            self.recs.clear();
             self.round = 0;
         }
         self.round += 1;
         if self.round == u32::MAX {
             for m in &mut self.meta {
                 m.stamp = 0;
+            }
+            for r in &mut self.recs {
+                r.stamp = 0;
             }
             self.round = 1;
         }
@@ -287,6 +413,48 @@ impl GenScratch {
         if self.uniforms.len() != UNIFORM_BATCH {
             self.uniforms.resize(UNIFORM_BATCH, 0);
         }
+    }
+
+    /// Indexes the per-node records of trace `blob` ([`TraceBuf`]
+    /// layout) under the current round — one pass per replay. A
+    /// truncated or malformed tail is ignored: its nodes simply have no
+    /// record and redraw.
+    fn index_trace(&mut self, blob: &[u8]) {
+        if self.recs.len() < self.meta.len() {
+            self.recs = vec![TraceRec::default(); self.meta.len()];
+        }
+        let mut pos = 0usize;
+        if try_read_varint(blob, &mut pos).is_none() {
+            return;
+        }
+        while pos < blob.len() {
+            let (Some(v), Some(deg)) = (
+                try_read_varint(blob, &mut pos),
+                try_read_varint(blob, &mut pos),
+            ) else {
+                return;
+            };
+            let end = pos + (deg as usize).div_ceil(4);
+            let (true, Ok(off)) = (end <= blob.len(), u32::try_from(pos)) else {
+                return;
+            };
+            if let Some(r) = self.recs.get_mut(v as usize) {
+                *r = TraceRec {
+                    stamp: self.round,
+                    deg,
+                    off,
+                };
+            }
+            pos = end;
+        }
+    }
+
+    /// The outcome-byte offset of `v`'s record in the indexed trace, if
+    /// it has one captured at in-degree `deg`.
+    #[inline]
+    fn record_of(recs: &[TraceRec], round: u32, v: u32, deg: usize) -> Option<usize> {
+        let r = recs[v as usize];
+        (r.stamp == round && r.deg as usize == deg).then_some(r.off as usize)
     }
 
     #[inline]
@@ -304,6 +472,146 @@ impl GenScratch {
         let m = &mut self.meta[v as usize];
         m.stamp = self.round;
         m.dist = d;
+    }
+}
+
+/// Where the phase-I kernel gets each in-edge's three-way coin — a
+/// monomorphized policy, so the fresh path compiles to the plain loop.
+trait CoinPolicy {
+    /// Whether fresh draws are classified and passed to
+    /// [`record`](Self::record).
+    const RECORDS: bool;
+
+    /// A sample rooted at `root` begins (before the seed-root check).
+    #[inline(always)]
+    fn begin_sample(&mut self, _root: u32) {}
+
+    /// Per-sample setup, once the scratch round is stamped.
+    #[inline(always)]
+    fn prepare(&mut self, _scratch: &mut GenScratch) {}
+
+    /// Node `u` with `deg` in-edges starts expanding.
+    #[inline(always)]
+    fn begin_node(&mut self, _u: u32, _deg: usize, _recs: &[TraceRec], _round: u32) {}
+
+    /// The outcome of in-edge `pos` of the expanding node to reuse, or
+    /// `None` to draw it fresh.
+    #[inline(always)]
+    fn reuse(&mut self, _pos: usize) -> Option<u8> {
+        None
+    }
+
+    /// The outcome of in-edge `pos` of the expanding node is `outcome`.
+    #[inline(always)]
+    fn record(&mut self, _pos: usize, _outcome: u8) {}
+}
+
+/// Plain sampling: every coin is a fresh draw, nothing is recorded.
+struct Fresh;
+
+impl CoinPolicy for Fresh {
+    const RECORDS: bool = false;
+}
+
+/// Trace capture: fresh draws, each outcome written into the trace.
+struct Record<'a> {
+    out: &'a mut TraceBuf,
+}
+
+impl CoinPolicy for Record<'_> {
+    const RECORDS: bool = true;
+
+    #[inline(always)]
+    fn begin_sample(&mut self, root: u32) {
+        self.out.begin(root);
+    }
+
+    #[inline(always)]
+    fn begin_node(&mut self, u: u32, deg: usize, _recs: &[TraceRec], _round: u32) {
+        self.out.begin_node(u, deg);
+    }
+
+    #[inline(always)]
+    fn record(&mut self, pos: usize, outcome: u8) {
+        self.out.record(pos, outcome);
+    }
+}
+
+/// Conditional replay of `old` under `plan`, recording the new trace and
+/// counting reused and redrawn coins.
+struct Replay<'a> {
+    old: &'a [u8],
+    plan: &'a ReplayPlan,
+    out: &'a mut TraceBuf,
+    /// The expanding node.
+    node: u32,
+    /// Its reusable record's outcome-byte offset, if any.
+    rec: Option<usize>,
+    /// Whether some in-edge of the expanding node was rewritten.
+    rewritten: bool,
+    coins: ReplayCoins,
+}
+
+impl<'a> Replay<'a> {
+    fn new(old: &'a [u8], plan: &'a ReplayPlan, out: &'a mut TraceBuf) -> Self {
+        Replay {
+            old,
+            plan,
+            out,
+            node: 0,
+            rec: None,
+            rewritten: false,
+            coins: ReplayCoins::default(),
+        }
+    }
+}
+
+impl CoinPolicy for Replay<'_> {
+    const RECORDS: bool = true;
+
+    #[inline(always)]
+    fn begin_sample(&mut self, root: u32) {
+        self.out.begin(root);
+    }
+
+    #[inline(always)]
+    fn prepare(&mut self, scratch: &mut GenScratch) {
+        scratch.index_trace(self.old);
+    }
+
+    #[inline(always)]
+    fn begin_node(&mut self, u: u32, deg: usize, recs: &[TraceRec], round: u32) {
+        self.out.begin_node(u, deg);
+        let flags = self.plan.flags(u);
+        self.node = u;
+        self.rewritten = flags & PLAN_REWRITTEN != 0;
+        self.rec = if flags & PLAN_STRUCTURAL != 0 {
+            None
+        } else {
+            GenScratch::record_of(recs, round, u, deg)
+        };
+    }
+
+    #[inline(always)]
+    fn reuse(&mut self, pos: usize) -> Option<u8> {
+        let outcome = match self.rec {
+            Some(off) if !(self.rewritten && self.plan.rewrites(self.node, pos)) => {
+                recorded_outcome(self.old, off, pos)
+            }
+            _ => TRACE_NOT_DRAWN,
+        };
+        if outcome == TRACE_NOT_DRAWN {
+            self.coins.redrawn += 1;
+            None
+        } else {
+            self.coins.reused += 1;
+            Some(outcome)
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, pos: usize, outcome: u8) {
+        self.out.record(pos, outcome);
     }
 }
 
@@ -336,7 +644,7 @@ impl<'g> PrrGenerator<'g> {
     /// SoA in-edge mirror (`O(m)`, once per generator — sources construct
     /// one generator per pool build / mutation epoch, which is what keeps
     /// the mirror fresh across online epochs) and routes the bulk-sampling
-    /// entry points through the data-oriented kernel.
+    /// and replay entry points through the data-oriented kernel.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         PrrGenerator {
             g,
@@ -381,7 +689,12 @@ impl<'g> PrrGenerator<'g> {
 
     /// Generates a PRR-graph for the given root (scalar oracle).
     pub fn sample_rooted(&self, root: NodeId, rng: &mut SmallRng) -> PrrOutcome {
-        match self.phase1(root, rng, self.k as u32, None) {
+        self.outcome_of(self.phase1(root, rng, self.k as u32, None))
+    }
+
+    /// Phase II of a scalar phase-I result, as a per-graph outcome.
+    fn outcome_of(&self, phase1: Phase1) -> PrrOutcome {
+        match phase1 {
             Phase1::Activated => PrrOutcome::Activated,
             Phase1::Hopeless => PrrOutcome::Hopeless,
             Phase1::Raw(raw) => match compress(&raw, self.k) {
@@ -404,14 +717,7 @@ impl<'g> PrrGenerator<'g> {
     ) -> PrrOutcome {
         footprint.clear();
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        let out = match self.phase1(root, rng, self.k as u32, Some(footprint)) {
-            Phase1::Activated => PrrOutcome::Activated,
-            Phase1::Hopeless => PrrOutcome::Hopeless,
-            Phase1::Raw(raw) => match compress(&raw, self.k) {
-                Some(c) => PrrOutcome::Boostable(c),
-                None => PrrOutcome::Hopeless,
-            },
-        };
+        let out = self.outcome_of(self.phase1(root, rng, self.k as u32, Some(footprint)));
         footprint.sort_unstable();
         footprint.dedup();
         out
@@ -420,8 +726,9 @@ impl<'g> PrrGenerator<'g> {
     /// Like [`sample_with_footprint`](Self::sample_with_footprint),
     /// additionally writing the sample's trace blob (retained queried-edge
     /// outcomes, [`TraceBuf`] layout) into `trace` — the legacy/oracle
-    /// entry point of the trace-retention tier. Draws the exact same
-    /// randomness as every other sampling entry point.
+    /// entry point of the trace-retention tier (always the scalar loop).
+    /// Draws the exact same randomness as every other sampling entry
+    /// point.
     pub fn sample_with_footprint_trace(
         &self,
         rng: &mut SmallRng,
@@ -431,62 +738,61 @@ impl<'g> PrrGenerator<'g> {
         footprint.clear();
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
         let out = TRACE_SCRATCH.with_borrow_mut(|tb| {
-            let out = match self.phase1_tr(root, rng, self.k as u32, Some(footprint), Some(tb)) {
-                Phase1::Activated => PrrOutcome::Activated,
-                Phase1::Hopeless => PrrOutcome::Hopeless,
-                Phase1::Raw(raw) => match compress(&raw, self.k) {
-                    Some(c) => PrrOutcome::Boostable(c),
-                    None => PrrOutcome::Hopeless,
-                },
-            };
+            let phase1 = self.phase1_tr(root, rng, self.k as u32, Some(footprint), Some(tb));
             trace.clear();
             trace.extend_from_slice(&tb.buf);
-            out
+            self.outcome_of(phase1)
         });
         footprint.sort_unstable();
         footprint.dedup();
         out
     }
 
+    /// The root a replay of `old_trace` restarts from: the recorded one,
+    /// or — for a trace too malformed to name an in-range root — a fresh
+    /// uniform draw, so the replay degrades to a fresh sample.
+    fn replay_root(&self, old_trace: &[u8], rng: &mut SmallRng) -> NodeId {
+        let n = self.g.num_nodes();
+        match try_read_varint(old_trace, &mut 0) {
+            Some(root) if (root as usize) < n => NodeId(root),
+            _ => NodeId(rng.random_range(0..n as u32)),
+        }
+    }
+
     /// Conditionally replays one invalidated sample from its retained
-    /// trace (legacy/oracle form): re-runs phase I on the current graph
-    /// for the trace's root, reusing every recorded coin whose edge the
-    /// mutation batch left untouched and drawing fresh coins only for
-    /// `redraw_node` heads, `redraw_edge` hits, and not-drawn sentinels —
-    /// see [`phase1_replay`](Self::phase1_replay) for why the result is
-    /// distribution-fresh. Writes the replayed sample's new footprint and
-    /// trace (against the current graph) into the out-params.
+    /// trace (legacy/oracle form, always the scalar loop): re-runs phase I
+    /// on the current graph for the trace's root, reusing every recorded
+    /// coin `plan` leaves valid and drawing fresh coins only where it
+    /// voids them, at unrecorded or re-sized nodes, and at not-drawn
+    /// sentinels — see [`phase1_replay`](Self::phase1_replay) for why the
+    /// result is distribution-fresh. Writes the replayed sample's new
+    /// footprint and trace (against the current graph) into the
+    /// out-params.
     pub fn replay_with_footprint_trace(
         &self,
         old_trace: &[u8],
-        redraw_node: &dyn Fn(u32) -> bool,
-        redraw_edge: &dyn Fn(u32, u32) -> bool,
+        plan: &ReplayPlan,
         rng: &mut SmallRng,
         footprint: &mut Vec<u32>,
         trace: &mut Vec<u8>,
     ) -> PrrOutcome {
         footprint.clear();
-        let tv = TraceView::parse(old_trace);
+        let root = self.replay_root(old_trace, rng);
+        let mut coins = ReplayCoins::default();
         let out = TRACE_SCRATCH.with_borrow_mut(|tb| {
-            let out = match self.phase1_replay(
-                &tv,
-                redraw_node,
-                redraw_edge,
+            let phase1 = self.phase1_replay(
+                old_trace,
+                root,
+                plan,
                 rng,
                 self.k as u32,
                 footprint,
                 tb,
-            ) {
-                Phase1::Activated => PrrOutcome::Activated,
-                Phase1::Hopeless => PrrOutcome::Hopeless,
-                Phase1::Raw(raw) => match compress(&raw, self.k) {
-                    Some(c) => PrrOutcome::Boostable(c),
-                    None => PrrOutcome::Hopeless,
-                },
-            };
+                &mut coins,
+            );
             trace.clear();
             trace.extend_from_slice(&tb.buf);
-            out
+            self.outcome_of(phase1)
         });
         footprint.sort_unstable();
         footprint.dedup();
@@ -496,46 +802,54 @@ impl<'g> PrrGenerator<'g> {
     /// Conditionally replays one invalidated sample from its retained
     /// trace straight into a sampling `shard` — the maintainer's
     /// trace-retention refresh path. Stores the replayed graph (or its
-    /// empty-sample footprint) together with the new footprint and trace,
-    /// and returns the sketch cover exactly like
-    /// [`sample_into_fp`](Self::sample_into_fp). `mode` must retain
-    /// traces.
+    /// empty-sample footprint) together with the new footprint and trace
+    /// ([`FootprintMode::Trace`]), returns the sketch cover exactly like
+    /// [`sample_into_fp`](Self::sample_into_fp), and adds the replay's
+    /// reused and redrawn coins to `coins`. Kernel generators replay in
+    /// the data-oriented kernel, scalar oracles in the original loop;
+    /// both consume the identical stream and store identical bytes.
     pub fn replay_into_fp(
         &self,
         old_trace: &[u8],
-        redraw_node: &dyn Fn(u32) -> bool,
-        redraw_edge: &dyn Fn(u32, u32) -> bool,
+        plan: &ReplayPlan,
         rng: &mut SmallRng,
         shard: &mut PrrArenaShard,
-        mode: FootprintMode,
+        coins: &mut ReplayCoins,
     ) -> Vec<NodeId> {
-        assert!(
-            mode.retains_trace(),
-            "replay requires a trace-retaining mode"
-        );
-        let tv = TraceView::parse(old_trace);
+        let root = self.replay_root(old_trace, rng);
+        let mode = FootprintMode::Trace;
         FP_SCRATCH.with_borrow_mut(|fp| {
             TRACE_SCRATCH.with_borrow_mut(|tb| {
                 fp.clear();
-                let phase1 =
-                    self.phase1_replay(&tv, redraw_node, redraw_edge, rng, self.k as u32, fp, tb);
-                fp.sort_unstable();
-                fp.dedup();
-                match phase1 {
-                    Phase1::Activated | Phase1::Hopeless => {
-                        shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                        Vec::new()
+                match &self.soa {
+                    Some(soa) => SCRATCH.with_borrow_mut(|scratch| {
+                        let mut policy = Replay::new(old_trace, plan, tb);
+                        let phase1 = self.phase1_kernel(
+                            soa,
+                            root,
+                            rng,
+                            self.k as u32,
+                            Some(fp),
+                            scratch,
+                            &mut policy,
+                        );
+                        coins.reused += policy.coins.reused;
+                        coins.redrawn += policy.coins.redrawn;
+                        self.store_kernel(phase1, scratch, fp, &tb.buf, shard, mode)
+                    }),
+                    None => {
+                        let phase1 = self.phase1_replay(
+                            old_trace,
+                            root,
+                            plan,
+                            rng,
+                            self.k as u32,
+                            fp,
+                            tb,
+                            coins,
+                        );
+                        self.store_scalar(phase1, fp, &tb.buf, shard, mode)
                     }
-                    Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                        None => {
-                            shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                            Vec::new()
-                        }
-                        Some(parts) => {
-                            shard.push_parts_fp_trace(&parts, fp, &tb.buf, mode);
-                            parts.critical
-                        }
-                    },
                 }
             })
         })
@@ -576,12 +890,8 @@ impl<'g> PrrGenerator<'g> {
     ) -> Vec<NodeId> {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
         match &self.soa {
-            // Trace capture is scalar-only: the kernel has no traced
-            // variant, and both loops draw bit-identical streams anyway.
-            Some(soa) if !mode.retains_trace() => {
-                self.kernel_sample_into_fp(soa, root, rng, shard, mode)
-            }
-            _ => self.scalar_sample_into_fp(root, rng, shard, mode),
+            Some(soa) => self.kernel_sample_into_fp(soa, root, rng, shard, mode),
+            None => self.scalar_sample_into_fp(root, rng, shard, mode),
         }
     }
 
@@ -612,52 +922,50 @@ impl<'g> PrrGenerator<'g> {
             if mode.retains_trace() {
                 return TRACE_SCRATCH.with_borrow_mut(|tb| {
                     let phase1 = self.phase1_tr(root, rng, self.k as u32, Some(fp), Some(tb));
-                    fp.sort_unstable();
-                    fp.dedup();
-                    match phase1 {
-                        Phase1::Activated | Phase1::Hopeless => {
-                            shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                            Vec::new()
-                        }
-                        Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                            None => {
-                                shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                                Vec::new()
-                            }
-                            Some(parts) => {
-                                shard.push_parts_fp_trace(&parts, fp, &tb.buf, mode);
-                                parts.critical
-                            }
-                        },
-                    }
+                    self.store_scalar(phase1, fp, &tb.buf, shard, mode)
                 });
             }
             let phase1 = self.phase1(root, rng, self.k as u32, Some(fp));
-            fp.sort_unstable();
-            fp.dedup();
-            match phase1 {
-                Phase1::Activated | Phase1::Hopeless => {
-                    shard.push_empty_footprint(fp, mode);
-                    Vec::new()
-                }
-                Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                    None => {
-                        shard.push_empty_footprint(fp, mode);
-                        Vec::new()
-                    }
-                    Some(parts) => {
-                        shard.push_parts_fp(&parts, fp, mode);
-                        parts.critical
-                    }
-                },
-            }
+            self.store_scalar(phase1, fp, &[], shard, mode)
         })
     }
 
+    /// Phase II and shard append of a scalar phase-I result under a
+    /// footprint-retaining `mode`: the footprint (sorted and deduplicated
+    /// here) and `trace` (empty unless `mode` retains one) go with the
+    /// stored graph, or into the empty-sample column.
+    fn store_scalar(
+        &self,
+        phase1: Phase1,
+        fp: &mut Vec<u32>,
+        trace: &[u8],
+        shard: &mut PrrArenaShard,
+        mode: FootprintMode,
+    ) -> Vec<NodeId> {
+        fp.sort_unstable();
+        fp.dedup();
+        match phase1 {
+            Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
+                Some(parts) => {
+                    shard.push_parts_fp_trace(&parts, fp, trace, mode);
+                    parts.critical
+                }
+                None => {
+                    shard.push_empty_footprint_trace(fp, trace, mode);
+                    Vec::new()
+                }
+            },
+            Phase1::Activated | Phase1::Hopeless => {
+                shard.push_empty_footprint_trace(fp, trace, mode);
+                Vec::new()
+            }
+        }
+    }
+
     /// Kernel body of [`sample_into_fp`](Self::sample_into_fp): phase I in
-    /// the batched-draw kernel, phase II through the reusable
-    /// [`CompressedParts`] — allocation-free in steady state apart from
-    /// the returned cover.
+    /// the batched-draw kernel (recording the trace in trace-retaining
+    /// modes), phase II through the reusable [`CompressedParts`] —
+    /// allocation-free in steady state apart from the returned cover.
     fn kernel_sample_into_fp(
         &self,
         soa: &InEdgeSoa,
@@ -666,9 +974,10 @@ impl<'g> PrrGenerator<'g> {
         shard: &mut PrrArenaShard,
         mode: FootprintMode,
     ) -> Vec<NodeId> {
+        let k = self.k as u32;
         SCRATCH.with_borrow_mut(|scratch| {
             if !mode.is_on() {
-                let ph = self.phase1_kernel(soa, root, rng, self.k as u32, None, scratch);
+                let ph = self.phase1_kernel(soa, root, rng, k, None, scratch, &mut Fresh);
                 return match ph {
                     KernelPhase1::Activated | KernelPhase1::Hopeless => Vec::new(),
                     KernelPhase1::Raw => PARTS.with_borrow_mut(|parts| {
@@ -690,31 +999,55 @@ impl<'g> PrrGenerator<'g> {
             }
             FP_SCRATCH.with_borrow_mut(|fp| {
                 fp.clear();
-                let phase1 = self.phase1_kernel(soa, root, rng, self.k as u32, Some(fp), scratch);
-                fp.sort_unstable();
-                fp.dedup();
-                match phase1 {
-                    KernelPhase1::Activated | KernelPhase1::Hopeless => {
-                        shard.push_empty_footprint(fp, mode);
-                        Vec::new()
-                    }
-                    KernelPhase1::Raw => PARTS.with_borrow_mut(|parts| {
-                        if !compress_locals_into(
-                            &scratch.globals,
-                            &scratch.ledges,
-                            &scratch.lseeds,
-                            self.k,
-                            parts,
-                        ) {
-                            shard.push_empty_footprint(fp, mode);
-                            return Vec::new();
-                        }
-                        shard.push_parts_fp(parts, fp, mode);
-                        std::mem::take(&mut parts.critical)
-                    }),
+                if mode.retains_trace() {
+                    return TRACE_SCRATCH.with_borrow_mut(|tb| {
+                        let mut policy = Record { out: tb };
+                        let ph =
+                            self.phase1_kernel(soa, root, rng, k, Some(fp), scratch, &mut policy);
+                        self.store_kernel(ph, scratch, fp, &tb.buf, shard, mode)
+                    });
                 }
+                let ph = self.phase1_kernel(soa, root, rng, k, Some(fp), scratch, &mut Fresh);
+                self.store_kernel(ph, scratch, fp, &[], shard, mode)
             })
         })
+    }
+
+    /// [`store_scalar`](Self::store_scalar) for a kernel phase-I result
+    /// left in `scratch`.
+    fn store_kernel(
+        &self,
+        phase1: KernelPhase1,
+        scratch: &GenScratch,
+        fp: &mut Vec<u32>,
+        trace: &[u8],
+        shard: &mut PrrArenaShard,
+        mode: FootprintMode,
+    ) -> Vec<NodeId> {
+        fp.sort_unstable();
+        fp.dedup();
+        if let KernelPhase1::Raw = phase1 {
+            let cover = PARTS.with_borrow_mut(|parts| {
+                compress_locals_into(
+                    &scratch.globals,
+                    &scratch.ledges,
+                    &scratch.lseeds,
+                    self.k,
+                    parts,
+                )
+                .then(|| {
+                    shard.push_parts_fp_trace(parts, fp, trace, mode);
+                    // The shard copied the critical set; the reused parts
+                    // can donate the Vec as the cover.
+                    std::mem::take(&mut parts.critical)
+                })
+            });
+            if let Some(cover) = cover {
+                return cover;
+            }
+        }
+        shard.push_empty_footprint_trace(fp, trace, mode);
+        Vec::new()
     }
 
     /// Fast path for PRR-Boost-LB: produces only the critical-node set
@@ -731,7 +1064,7 @@ impl<'g> PrrGenerator<'g> {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
         match &self.soa {
             Some(soa) => SCRATCH.with_borrow_mut(|scratch| {
-                match self.phase1_kernel(soa, root, rng, 1, None, scratch) {
+                match self.phase1_kernel(soa, root, rng, 1, None, scratch, &mut Fresh) {
                     KernelPhase1::Activated | KernelPhase1::Hopeless => Vec::new(),
                     KernelPhase1::Raw => CRIT_SCRATCH.with_borrow_mut(|cs| {
                         critical_from_scratch(
@@ -777,8 +1110,8 @@ impl<'g> PrrGenerator<'g> {
     /// [`phase1`](Self::phase1) with optional trace capture: when `trace`
     /// is given, the sampled outcome of every queried edge is recorded
     /// into the per-sample [`TraceBuf`] (capture consumes no randomness,
-    /// so traced and untraced streams are bit-identical). Trace capture
-    /// runs only on the scalar loop — the kernel has no traced variant.
+    /// so traced and untraced streams are bit-identical). The scalar
+    /// oracle of the kernel's `Fresh` and `Record` policies.
     fn phase1_tr(
         &self,
         root: NodeId,
@@ -815,14 +1148,7 @@ impl<'g> PrrGenerator<'g> {
                 }
                 for (i, (v, p)) in self.g.in_edges(NodeId(u)).enumerate() {
                     // Sample the three-way status on first (and only) touch.
-                    let x: f64 = rng.random();
-                    let outcome = if x < p.base {
-                        TRACE_LIVE
-                    } else if x < p.boosted {
-                        TRACE_BOOST
-                    } else {
-                        TRACE_BLOCKED
-                    };
+                    let outcome = classify(rng.random(), p);
                     if let Some(tb) = trace.as_deref_mut() {
                         tb.record(i, outcome);
                     }
@@ -866,16 +1192,17 @@ impl<'g> PrrGenerator<'g> {
         })
     }
 
-    /// Conditional-replay phase I (Ohsaka-style): re-runs the backward
-    /// 0-1 BFS on the *current* graph for the root retained in `tv`,
-    /// reusing the recorded coin of every edge whose law is unchanged and
-    /// drawing fresh coins only where the mutation batch touched:
+    /// Conditional-replay phase I (Ohsaka-style), the scalar oracle of the
+    /// kernel's `Replay` policy: re-runs the backward 0-1 BFS on the
+    /// *current* graph from `root` (the one recorded in `old_trace`), reusing
+    /// the recorded coin of every edge whose law is unchanged and drawing
+    /// fresh coins only where the mutation batch touched:
     ///
-    /// * `redraw_node(u)` — `u`'s in-edge list changed structurally
-    ///   (insert/remove head): every coin of `u`'s in-edges is redrawn,
+    /// * a [`ReplayPlan`] structural head `u` — `u`'s in-edge list changed
+    ///   (insert/remove): every coin of `u`'s in-edges is redrawn,
     ///   positional correspondence with the record is void;
-    /// * `redraw_edge(v, u)` — the edge `(v, u)` had its probabilities
-    ///   rewritten in place: only that coin is redrawn;
+    /// * a plan-rewritten slot — the edge had its probabilities rewritten
+    ///   in place: only that coin is redrawn;
     /// * a popped node with no record, or whose captured in-degree
     ///   disagrees with the current one, is redrawn wholesale;
     /// * a [`TRACE_NOT_DRAWN`] sentinel (the capturing run returned
@@ -887,25 +1214,26 @@ impl<'g> PrrGenerator<'g> {
     /// the untouched survivors — the coupling that makes trace-retention
     /// refresh distribution-fresh under partial churn where unconditioned
     /// redraw is not. The replay records a new footprint and trace
-    /// against the current graph as it goes.
+    /// against the current graph as it goes, and counts its coins.
     #[allow(clippy::too_many_arguments)]
     fn phase1_replay(
         &self,
-        tv: &TraceView<'_>,
-        redraw_node: &dyn Fn(u32) -> bool,
-        redraw_edge: &dyn Fn(u32, u32) -> bool,
+        old_trace: &[u8],
+        root: NodeId,
+        plan: &ReplayPlan,
         rng: &mut SmallRng,
         prune_at: u32,
         footprint: &mut Vec<u32>,
         trace_out: &mut TraceBuf,
+        coins: &mut ReplayCoins,
     ) -> Phase1 {
-        let root = NodeId(tv.root);
         trace_out.begin(root.0);
         if self.seed_mask.contains(root) {
             return Phase1::Activated;
         }
         SCRATCH.with_borrow_mut(|scratch| {
             scratch.begin(self.g.num_nodes());
+            scratch.index_trace(old_trace);
             let mut deque: std::collections::VecDeque<(u32, u32)> =
                 std::collections::VecDeque::new();
             let mut edges: Vec<(u32, u32, bool)> = Vec::new();
@@ -923,30 +1251,24 @@ impl<'g> PrrGenerator<'g> {
                 trace_out.begin_node(u, deg);
                 // The record is positionally valid only if the in-edge
                 // list is membership- and order-identical to capture time.
-                let rec = if redraw_node(u) {
+                let flags = plan.flags(u);
+                let rec = if flags & PLAN_STRUCTURAL != 0 {
                     None
                 } else {
-                    tv.records
-                        .get(&u)
-                        .filter(|&&(d, _)| d as usize == deg)
-                        .copied()
+                    GenScratch::record_of(&scratch.recs, scratch.round, u, deg)
                 };
                 for (i, (v, p)) in self.g.in_edges(NodeId(u)).enumerate() {
                     let mut outcome = TRACE_NOT_DRAWN;
-                    if let Some((_, off)) = rec {
-                        if !redraw_edge(v.0, u) {
-                            outcome = tv.outcome(off, i);
+                    if let Some(off) = rec {
+                        if flags & PLAN_REWRITTEN == 0 || !plan.rewrites(u, i) {
+                            outcome = recorded_outcome(old_trace, off, i);
                         }
                     }
                     if outcome == TRACE_NOT_DRAWN {
-                        let x: f64 = rng.random();
-                        outcome = if x < p.base {
-                            TRACE_LIVE
-                        } else if x < p.boosted {
-                            TRACE_BOOST
-                        } else {
-                            TRACE_BLOCKED
-                        };
+                        coins.redrawn += 1;
+                        outcome = classify(rng.random(), p);
+                    } else {
+                        coins.reused += 1;
                     }
                     trace_out.record(i, outcome);
                     if outcome == TRACE_BLOCKED {
@@ -990,10 +1312,13 @@ impl<'g> PrrGenerator<'g> {
     }
 
     /// Data-oriented phase I: identical semantics and random stream to
-    /// [`phase1`](Self::phase1), but walking the SoA lanes with batched
-    /// uniform draws and emitting *sample-local* node/edge/seed lists into
-    /// `scratch` for the compression core to consume without any
-    /// global→local relabeling pass.
+    /// the scalar oracle of its coin policy ([`phase1_tr`](Self::phase1_tr)
+    /// for `Fresh` and `Record`, [`phase1_replay`](Self::phase1_replay)
+    /// for `Replay`), but walking the SoA lanes with batched uniform draws
+    /// and emitting *sample-local* node/edge/seed lists into `scratch` for
+    /// the compression core to consume without any global→local
+    /// relabeling pass. Only coins the policy does not reuse consume
+    /// uniforms, so the snapshot/rewind bookkeeping is policy-blind.
     ///
     /// Local ids are assigned on first touch. That reproduces exactly the
     /// first-appearance order compression's scalar localization would
@@ -1003,7 +1328,8 @@ impl<'g> PrrGenerator<'g> {
     /// touches it — it cannot appear as a head earlier, because heads are
     /// expanded nodes and expansion requires an earlier first touch — and
     /// a first touch always relaxes (the stored distance is `INF`).
-    fn phase1_kernel(
+    #[allow(clippy::too_many_arguments)]
+    fn phase1_kernel<P: CoinPolicy>(
         &self,
         soa: &InEdgeSoa,
         root: NodeId,
@@ -1011,11 +1337,14 @@ impl<'g> PrrGenerator<'g> {
         prune_at: u32,
         mut footprint: Option<&mut Vec<u32>>,
         scratch: &mut GenScratch,
+        policy: &mut P,
     ) -> KernelPhase1 {
+        policy.begin_sample(root.0);
         if self.seed_mask.contains(root) {
             return KernelPhase1::Activated;
         }
         scratch.begin(self.g.num_nodes());
+        policy.prepare(scratch);
         let GenScratch {
             meta,
             round,
@@ -1024,6 +1353,7 @@ impl<'g> PrrGenerator<'g> {
             ledges,
             lseeds,
             uniforms,
+            recs,
         } = scratch;
         let round = *round;
         let heads = soa.heads();
@@ -1059,6 +1389,7 @@ impl<'g> PrrGenerator<'g> {
             }
             let ul = meta[u as usize].lid;
             let (lo, hi) = soa.range(NodeId(u));
+            policy.begin_node(u, hi - lo, recs, round);
             // One-expansion lookahead: start fetching the edge-range lines
             // of the next nodes in the deque while this node is processed
             // (their offset entries were prefetched when they were pushed).
@@ -1080,25 +1411,40 @@ impl<'g> PrrGenerator<'g> {
                 if e + PREFETCH_AHEAD < hi {
                     prefetch(&meta[heads[e + PREFETCH_AHEAD] as usize]);
                 }
-                if pos == batch {
-                    batch = if batch == 0 {
-                        UNIFORM_BATCH_MIN
-                    } else {
-                        (batch * 2).min(UNIFORM_BATCH)
-                    };
-                    saved = rng.clone();
-                    rng.fill_u64(&mut uniforms[..batch]);
-                    pos = 0;
-                }
-                let x = rand::distr::unit_f64(uniforms[pos]);
-                pos += 1;
-                let p = probs[e];
-                if x >= p.boosted {
-                    continue; // blocked (the common case)
-                }
-                // Same three-way split as the scalar loop, boost decided
-                // branchlessly: x < base ⇒ live, base ≤ x < boosted ⇒ boost.
-                let boost = x >= p.base;
+                let boost = match policy.reuse(e - lo) {
+                    Some(outcome) => {
+                        policy.record(e - lo, outcome);
+                        if outcome == TRACE_BLOCKED {
+                            continue;
+                        }
+                        outcome == TRACE_BOOST
+                    }
+                    None => {
+                        if pos == batch {
+                            batch = if batch == 0 {
+                                UNIFORM_BATCH_MIN
+                            } else {
+                                (batch * 2).min(UNIFORM_BATCH)
+                            };
+                            saved = rng.clone();
+                            rng.fill_u64(&mut uniforms[..batch]);
+                            pos = 0;
+                        }
+                        let x = rand::distr::unit_f64(uniforms[pos]);
+                        pos += 1;
+                        let p = probs[e];
+                        if P::RECORDS {
+                            policy.record(e - lo, classify(x, p));
+                        }
+                        if x >= p.boosted {
+                            continue; // blocked (the common case)
+                        }
+                        // Same three-way split as the scalar loop, boost
+                        // decided branchlessly: x < base ⇒ live,
+                        // base ≤ x < boosted ⇒ boost.
+                        x >= p.base
+                    }
+                };
                 let dvr = du + boost as u32;
                 if dvr > prune_at {
                     continue; // pruning: needs more than k boosts
@@ -1536,7 +1882,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(17);
         let mut scratch = GenScratch::new();
         assert!(matches!(
-            gen.phase1_kernel(soa, NodeId(2), &mut rng, 1, None, &mut scratch),
+            gen.phase1_kernel(soa, NodeId(2), &mut rng, 1, None, &mut scratch, &mut Fresh),
             KernelPhase1::Raw
         ));
         assert_eq!(kernel_global_edges(&scratch), raw.edges);
@@ -1564,8 +1910,15 @@ mod tests {
                     let mut rng_s = SmallRng::seed_from_u64(sseed * 1000 + root as u64);
                     let mut rng_k = rng_s.clone();
                     let scalar = gen.phase1(NodeId(root), &mut rng_s, 2, None);
-                    let kernel =
-                        gen.phase1_kernel(soa, NodeId(root), &mut rng_k, 2, None, &mut scratch);
+                    let kernel = gen.phase1_kernel(
+                        soa,
+                        NodeId(root),
+                        &mut rng_k,
+                        2,
+                        None,
+                        &mut scratch,
+                        &mut Fresh,
+                    );
                     match (&scalar, &kernel) {
                         (Phase1::Activated, KernelPhase1::Activated)
                         | (Phase1::Hopeless, KernelPhase1::Hopeless) => {}
@@ -1599,6 +1952,7 @@ mod tests {
                 FootprintMode::Sorted,
                 FootprintMode::Compressed,
                 FootprintMode::Hybrid { bloom_above: 4 },
+                FootprintMode::Trace,
             ] {
                 let mut rng_k = SmallRng::seed_from_u64(gseed * 7 + 3);
                 let mut rng_s = rng_k.clone();
@@ -1624,9 +1978,13 @@ mod tests {
         // Trace mode must draw the identical stream and store the same
         // graphs/footprints as Sorted mode; only the sidecar differs.
         use crate::arena::{PrrArena, PrrArenaShard};
-        for gseed in 0..4u64 {
+        for (gseed, kernel) in (0..4u64).flat_map(|s| [(s, false), (s, true)]) {
             let g = er_graph(20, 70, gseed + 200);
-            let gen = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0)], 2);
+            let gen = if kernel {
+                PrrGenerator::new(&g, &[NodeId(0)], 2)
+            } else {
+                PrrGenerator::new_scalar_oracle(&g, &[NodeId(0)], 2)
+            };
             let mut rng_t = SmallRng::seed_from_u64(gseed * 11 + 5);
             let mut rng_s = rng_t.clone();
             let mut shard_t = PrrArenaShard::new();
@@ -1669,8 +2027,7 @@ mod tests {
                 let before = replay_rng.clone().next_u64();
                 let rep = gen.replay_with_footprint_trace(
                     &tr0,
-                    &|_| false,
-                    &|_, _| false,
+                    &ReplayPlan::new(&g, [], []),
                     &mut replay_rng,
                     &mut fp1,
                     &mut tr1,
@@ -1717,8 +2074,7 @@ mod tests {
             let mut replay_rng = SmallRng::seed_from_u64(4242);
             let rep = gen.replay_with_footprint_trace(
                 &tr0,
-                &|u| u == target,
-                &|_, _| false,
+                &ReplayPlan::new(&g, [NodeId(target)], []),
                 &mut replay_rng,
                 &mut fp1,
                 &mut tr1,
@@ -1735,6 +2091,43 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 10, "too few boostable samples to exercise replay");
+    }
+
+    #[test]
+    fn malformed_traces_replay_without_panicking() {
+        // Traces reach replay through the public API. An empty or
+        // unreadable root degrades the replay to a fresh sample; a
+        // truncated or garbled record tail leaves its nodes unrecorded.
+        // Kernel and oracle must agree on all of them.
+        use crate::arena::{PrrArena, PrrArenaShard};
+        let g = er_graph(24, 90, 11);
+        let kernel = PrrGenerator::new(&g, &[NodeId(0)], 2);
+        let scalar = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0)], 2);
+        let plan = ReplayPlan::new(&g, [NodeId(3)], [(NodeId(0), NodeId(5))]);
+        let mut valid = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(4);
+        while valid.len() < 40 {
+            let (mut fp, mut tr) = (Vec::new(), Vec::new());
+            scalar.sample_with_footprint_trace(&mut rng, &mut fp, &mut tr);
+            valid.push(tr);
+        }
+        let mut blobs: Vec<Vec<u8>> = vec![Vec::new(), vec![0xFF; 7], vec![200, 1]];
+        for tr in &valid {
+            blobs.push(tr[..tr.len() / 2].to_vec());
+            blobs.push(tr.iter().map(|b| b.rotate_left(3)).collect());
+        }
+        for (i, blob) in blobs.iter().enumerate() {
+            let mut rng_k = SmallRng::seed_from_u64(i as u64);
+            let mut rng_s = rng_k.clone();
+            let (mut shard_k, mut shard_s) = (PrrArenaShard::new(), PrrArenaShard::new());
+            let (mut coins_k, mut coins_s) = (ReplayCoins::default(), ReplayCoins::default());
+            let ck = kernel.replay_into_fp(blob, &plan, &mut rng_k, &mut shard_k, &mut coins_k);
+            let cs = scalar.replay_into_fp(blob, &plan, &mut rng_s, &mut shard_s, &mut coins_s);
+            assert_eq!(ck, cs, "blob {i}");
+            assert_eq!(coins_k, coins_s, "blob {i}");
+            assert_eq!(rng_k.next_u64(), rng_s.next_u64(), "blob {i}");
+            assert!(PrrArena::from_shard(shard_k) == PrrArena::from_shard(shard_s));
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod source;
 
 pub use arena::{PrrArena, PrrArenaShard, PrrGraphView};
 pub use footprint::{FootprintColumn, FootprintMode, FootprintQuery, HYBRID_BLOOM_BITS};
-pub use gen::{PrrGenerator, PrrOutcome, RawPrr};
+pub use gen::{PrrGenerator, PrrOutcome, RawPrr, ReplayCoins, ReplayPlan};
 pub use graph::{CompressedPrr, PrrEvalScratch};
 pub use select::{greedy_delta_selection, greedy_delta_selection_naive, DeltaSelection, NodeIndex};
 pub use source::{

@@ -58,23 +58,16 @@ impl<'g> PrrFullSource<'g> {
     }
 
     /// Creates the source for `(G, S, k)` retaining per-sample footprints
-    /// in the given mode. Samples through the data-oriented phase-I
-    /// kernel — except for trace-retaining modes, which are scalar-only
-    /// (the kernel has no traced variant; the stream and every stored
-    /// byte are identical either way, so only throughput differs).
+    /// (and, in trace-retaining modes, coin traces) in the given mode.
+    /// Samples through the data-oriented phase-I kernel.
     pub fn with_footprints(
         g: &'g DiGraph,
         seeds: &[NodeId],
         k: usize,
         mode: FootprintMode,
     ) -> Self {
-        let generator = if mode.retains_trace() {
-            PrrGenerator::new_scalar_oracle(g, seeds, k)
-        } else {
-            PrrGenerator::new(g, seeds, k)
-        };
         PrrFullSource {
-            generator,
+            generator: PrrGenerator::new(g, seeds, k),
             n: g.num_nodes(),
             candidates: g.num_nodes().saturating_sub(seeds.len()),
             mode,
@@ -322,7 +315,7 @@ pub struct LegacyTraceSource<'g> {
 
 impl<'g> LegacyTraceSource<'g> {
     /// Creates the oracle source for `(G, S, k)`. Always samples through
-    /// the scalar loop (trace capture is scalar-only).
+    /// the scalar loop.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         LegacyTraceSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),

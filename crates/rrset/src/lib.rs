@@ -37,8 +37,8 @@ pub use greedy::greedy_max_cover;
 pub use imm::{achieved_epsilon, ImmParams, ImmRun};
 pub use seeds::{select_more_seeds, select_seeds};
 pub use sketch::{
-    epoch_stream_seed, CoverOnly, ExtendStatus, SketchGenerator, SketchPool, SketchShard,
-    CHUNK_SIZE,
+    epoch_stream_seed, for_chunks_in_order, CoverOnly, ExtendStatus, SketchGenerator, SketchPool,
+    SketchShard, CHUNK_SIZE,
 };
 pub use ssa::{run_ssa, SsaParams, SsaRun};
 pub use terminator::{

@@ -190,6 +190,83 @@ pub fn epoch_stream_seed(base_seed: u64, epoch: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Runs `work` over chunks `0..num_chunks` on up to `threads` workers
+/// and hands the results to `merge` in chunk order — the deterministic
+/// parallel loop behind every chunked stage (pool extension, trace
+/// replay). Returns how many chunks were merged.
+///
+/// Workers pull chunk indices from a shared counter; `stop(c)` is polled
+/// before chunk `c` runs, and once any worker sees a stop no worker
+/// claims another chunk. Claimed chunks always complete, and only the
+/// contiguous prefix of completed chunks is merged (a timing-dependent
+/// stop can strand a completed chunk past a gap, which is then dropped).
+/// With a monotone `stop` that depends only on `c`, the merged prefix —
+/// and so everything built from it — is the same at every thread count.
+/// A panic in `work` or `stop` propagates to the caller.
+pub fn for_chunks_in_order<R, S, W, M>(
+    num_chunks: u64,
+    threads: usize,
+    stop: S,
+    work: W,
+    mut merge: M,
+) -> u64
+where
+    R: Send,
+    S: Fn(u64) -> bool + Sync,
+    W: Fn(u64) -> R + Sync,
+    M: FnMut(R),
+{
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+
+    let workers = (threads as u64).min(num_chunks);
+    if workers <= 1 {
+        let mut completed = 0u64;
+        while completed < num_chunks && !stop(completed) {
+            merge(work(completed));
+            completed += 1;
+        }
+        return completed;
+    }
+
+    let next = AtomicU64::new(0);
+    let halted = AtomicBool::new(false);
+    let pull = |tx: std::sync::mpsc::Sender<(u64, R)>| {
+        while !halted.load(Relaxed) {
+            let c = next.fetch_add(1, Relaxed);
+            if c >= num_chunks {
+                break;
+            }
+            if stop(c) {
+                halted.store(true, Relaxed);
+                break;
+            }
+            tx.send((c, work(c))).expect("chunk receiver dropped");
+        }
+    };
+    let mut results: Vec<(u64, R)> = std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pull = &pull;
+        for _ in 1..workers {
+            let tx = tx.clone();
+            scope.spawn(move || pull(tx));
+        }
+        // The calling thread is one of the workers: one spawn fewer, and
+        // its thread-local scratch and allocator arena outlive the call.
+        pull(tx);
+        rx.into_iter().collect()
+    });
+    results.sort_unstable_by_key(|&(c, _)| c);
+    let mut completed = 0u64;
+    for (c, r) in results {
+        if c != completed {
+            break;
+        }
+        merge(r);
+        completed += 1;
+    }
+    completed
+}
+
 impl<S: SketchShard> SketchPool<S> {
     /// Creates an empty pool. `base_seed` fixes the randomness of all
     /// future sampling; `threads` sets the parallel fan-out.
@@ -338,58 +415,13 @@ impl<S: SketchShard> SketchPool<S> {
             (covers, shard, empties)
         };
 
-        let workers = self.threads.min(num_chunks as usize);
-        if workers <= 1 {
-            let mut completed = 0u64;
-            for c in 0..num_chunks {
-                if term.should_stop(&progress_at(c)) {
-                    break;
-                }
-                self.merge(generate_chunk(c));
-                completed += 1;
-            }
-            self.chunks_issued = first_chunk + completed;
-            return if completed == num_chunks {
-                ExtendStatus::Completed
-            } else {
-                ExtendStatus::Interrupted
-            };
-        }
-
-        let next = std::sync::atomic::AtomicU64::new(0);
-        let mut results: Vec<(u64, ChunkResult<S>)> = std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let generate_chunk = &generate_chunk;
-                let progress_at = &progress_at;
-                scope.spawn(move || loop {
-                    let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if c >= num_chunks || term.should_stop(&progress_at(c)) {
-                        break;
-                    }
-                    tx.send((c, generate_chunk(c)))
-                        .expect("pool receiver dropped");
-                });
-            }
-            drop(tx);
-            rx.into_iter().collect()
-        });
-        results.sort_unstable_by_key(|&(c, _)| c);
-        // Merge the contiguous prefix only. A timing-dependent stop can
-        // strand a completed chunk past a gap (a worker holding chunk `c`
-        // observed the stop after another worker generated `c + 1`);
-        // deterministic terminators never gap, so nothing is discarded on
-        // their runs.
-        let mut completed = 0u64;
-        for (c, chunk) in results {
-            if c != completed {
-                break;
-            }
-            self.merge(chunk);
-            completed += 1;
-        }
+        let completed = for_chunks_in_order(
+            num_chunks,
+            self.threads,
+            |c| term.should_stop(&progress_at(c)),
+            generate_chunk,
+            |chunk| self.merge(chunk),
+        );
         self.chunks_issued = first_chunk + completed;
         if completed == num_chunks {
             ExtendStatus::Completed

@@ -154,6 +154,15 @@
 //!   order), so phase II skips its global→local relabeling pass, and
 //!   `critical_from_scratch` replaces the oracle's hash-map passes with
 //!   stamped arrays.
+//! * **Coin policies**: the kernel is generic over a monomorphized coin
+//!   policy — `Fresh` (plain sampling, the policy compiles away),
+//!   `Record` (`ExactTrace` capture: each outcome also written into the
+//!   sample's trace) and `Replay` (`ExactTrace` refresh: recorded
+//!   outcomes reused wherever the epoch's [`prr::ReplayPlan`] leaves them
+//!   valid, fresh draws elsewhere). A replay indexes its old trace once
+//!   into a stamped per-node table, so reuse costs an array read per
+//!   coin. Only fresh draws consume uniforms, so the snapshot/rewind
+//!   invariant above holds for replays unchanged.
 //!
 //! `benches/sampling.rs` tracks the kernel-vs-scalar ratio per graph
 //! family; `BENCH_prr.json` records `samples_per_sec_kernel` and
@@ -284,7 +293,9 @@
 //! * **online epochs** — `online.{epochs,invalidated,resampled,
 //!   compactions,rollbacks}` counters, `online.epoch.{apply,refresh}_secs`
 //!   spans, `online.epoch_commit` / `online.rollback` (with cause)
-//!   events;
+//!   events, and under `ExactTrace` the
+//!   `online.replay.{coins_reused,coins_redrawn}` counters (recorded coins
+//!   a replay kept vs drew fresh, flushed once per replay block);
 //! * **serving** — the `serve.publish_secs` latency histogram (snapshot
 //!   clone + pointer swap), the `serve.epoch_lag` histogram fed by
 //!   [`serve::SnapshotService::record_query`], the `serve.live_pins`

@@ -9,15 +9,17 @@
 //! recorder, at any thread count. The property test replays random
 //! churn histories through both and compares selections, estimates,
 //! epoch reports and the final arenas bitwise, at 1 and 7 maintainer
-//! threads; it also asserts the recorder genuinely saw the lifecycle
-//! (non-zero solve/sampler/epoch/publish metrics), so the equality is
-//! not vacuous.
+//! threads, under both the default staleness rule and
+//! `Staleness::ExactTrace` (whose refresh is a parallel conditional
+//! replay); it also asserts the recorder genuinely saw the lifecycle
+//! (non-zero solve/sampler/epoch/publish metrics, and reused and redrawn
+//! replay coins under the trace tier), so the equality is not vacuous.
 
 use std::sync::Arc;
 
 use kboost::engine::{
     Algorithm, EdgeProbs, Engine, EngineBuilder, EpochBatch, EpochReport, MetricsRecorder,
-    MutationLog, NodeId, Recorder, Sampling,
+    MutationLog, NodeId, Recorder, Sampling, Staleness,
 };
 use kboost::graph::generators::erdos_renyi;
 use kboost::graph::probability::{boost_probability, ProbabilityModel};
@@ -52,13 +54,19 @@ fn history(g: &DiGraph, epochs: usize, churn: usize, seed: u64) -> Vec<EpochBatc
         .collect()
 }
 
-fn build_engine(g: &DiGraph, threads: usize, recorder: Option<Arc<MetricsRecorder>>) -> Engine {
+fn build_engine(
+    g: &DiGraph,
+    threads: usize,
+    staleness: Staleness,
+    recorder: Option<Arc<MetricsRecorder>>,
+) -> Engine {
     let mut builder = EngineBuilder::new(g.clone())
         .seeds([NodeId(0), NodeId(1), NodeId(2)])
         .k(4)
         .threads(threads)
         .seed(0xB0057)
-        .sampling(Sampling::Fixed { samples: SAMPLES });
+        .sampling(Sampling::Fixed { samples: SAMPLES })
+        .staleness(staleness);
     if let Some(recorder) = recorder {
         builder = builder.recorder(recorder);
     }
@@ -81,9 +89,10 @@ fn run_lifecycle(
     g: &DiGraph,
     batches: &[EpochBatch],
     threads: usize,
+    staleness: Staleness,
     recorder: Option<Arc<MetricsRecorder>>,
 ) -> Lifecycle {
-    let mut engine = build_engine(g, threads, recorder);
+    let mut engine = build_engine(g, threads, staleness, recorder);
     let solution = engine.solve(&Algorithm::Sandwich).expect("solve");
     let _service = engine.serving().expect("online mode");
     let reports: Vec<EpochReport> = batches
@@ -155,33 +164,41 @@ proptest! {
         let g = graph(graph_seed);
         let batches = history(&g, epochs, churn, churn_seed);
 
-        let mut runs = Vec::new();
-        for threads in [1usize, 7] {
-            let recorder = Arc::new(MetricsRecorder::new());
-            let mut recorded =
-                run_lifecycle(&g, &batches, threads, Some(recorder.clone()));
-            let mut noop = run_lifecycle(&g, &batches, threads, None);
-            assert_identical(&recorded, &noop, threads);
-            assert_arenas_equal(&mut recorded, &mut noop, threads);
+        for staleness in [Staleness::default(), Staleness::ExactTrace] {
+            let mut runs = Vec::new();
+            for threads in [1usize, 7] {
+                let recorder = Arc::new(MetricsRecorder::new());
+                let mut recorded =
+                    run_lifecycle(&g, &batches, threads, staleness, Some(recorder.clone()));
+                let mut noop = run_lifecycle(&g, &batches, threads, staleness, None);
+                assert_identical(&recorded, &noop, threads);
+                assert_arenas_equal(&mut recorded, &mut noop, threads);
 
-            // Not vacuous: the recorder really watched the lifecycle.
-            let metrics = recorder.snapshot();
-            prop_assert_eq!(metrics.counter("engine.solves"), Some(1));
-            prop_assert!(metrics.counter("sampler.chunks").unwrap_or(0) >= 1);
-            prop_assert_eq!(metrics.counter("online.epochs"), Some(epochs as u64));
-            prop_assert!(metrics
-                .histogram("serve.publish_secs")
-                .is_some_and(|h| h.count == epochs as u64));
-            // The no-op side recorded nothing at all.
-            prop_assert!(noop.engine.metrics().counters.is_empty());
+                // Not vacuous: the recorder really watched the lifecycle.
+                let metrics = recorder.snapshot();
+                prop_assert_eq!(metrics.counter("engine.solves"), Some(1));
+                prop_assert!(metrics.counter("sampler.chunks").unwrap_or(0) >= 1);
+                prop_assert_eq!(metrics.counter("online.epochs"), Some(epochs as u64));
+                prop_assert!(metrics
+                    .histogram("serve.publish_secs")
+                    .is_some_and(|h| h.count == epochs as u64));
+                if staleness == Staleness::ExactTrace {
+                    // The replays ran, reusing recorded coins and drawing
+                    // fresh ones where the churn rewrote edges.
+                    prop_assert!(metrics.counter("online.replay.coins_reused").unwrap_or(0) > 0);
+                    prop_assert!(metrics.counter("online.replay.coins_redrawn").unwrap_or(0) > 0);
+                }
+                // The no-op side recorded nothing at all.
+                prop_assert!(noop.engine.metrics().counters.is_empty());
 
-            runs.push(recorded);
+                runs.push(recorded);
+            }
+            let (mut one, mut seven) = {
+                let mut it = runs.into_iter();
+                (it.next().unwrap(), it.next().unwrap())
+            };
+            assert_identical(&one, &seven, 7);
+            assert_arenas_equal(&mut one, &mut seven, 7);
         }
-        let (mut one, mut seven) = {
-            let mut it = runs.into_iter();
-            (it.next().unwrap(), it.next().unwrap())
-        };
-        assert_identical(&one, &seven, 7);
-        assert_arenas_equal(&mut one, &mut seven, 7);
     }
 }

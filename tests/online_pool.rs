@@ -12,7 +12,9 @@
 //!   the identical set;
 //! * the maintained pool is **thread-count invariant**: 1 worker and 7
 //!   workers produce the bit-identical arena (tombstones included) and
-//!   identical epoch reports;
+//!   identical epoch reports — for the trace tier also at 1, 2 and 7
+//!   workers over epochs large enough that every worker replays several
+//!   blocks;
 //! * exact mode closes the approximate rule's under-detection: the
 //!   zero-drift regression pins `incremental == rebuild` down to the
 //!   estimates and selection, and the companion test pins that the
@@ -31,8 +33,8 @@ use kboost::graph::generators::{erdos_renyi, set_cover_gadget, SetCoverInstance}
 use kboost::graph::probability::ProbabilityModel;
 use kboost::graph::{DiGraph, EdgeProbs, NodeId};
 use kboost::online::{
-    rebuild_from_history, EpochBatch, InterruptCause, MaintainerOptions, OnlineError,
-    PoolMaintainer, Staleness,
+    rebuild_from_history, EpochBatch, InterruptCause, MaintainerOptions, MutationLog, OnlineError,
+    PoolMaintainer, Staleness, REPLAY_BLOCK,
 };
 use kboost::prr::greedy_delta_selection;
 use proptest::prelude::*;
@@ -74,7 +76,7 @@ fn gadget() -> DiGraph {
 /// non-self-loop pairs.
 fn random_history(g: &DiGraph, epochs: usize, rng: &mut SmallRng) -> Vec<EpochBatch> {
     let n = g.num_nodes() as u32;
-    let mut log = kboost::online::MutationLog::new();
+    let mut log = MutationLog::new();
     let mut history = Vec::with_capacity(epochs);
     let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
     for _ in 0..epochs {
@@ -199,6 +201,71 @@ fn maintained_pool_thread_invariant_bytes_and_reports() {
             assert_eq!(m.select(3), reference.select(3));
         }
     }
+}
+
+#[test]
+fn trace_replay_is_thread_invariant_across_many_blocks() {
+    // Parallel replay hands blocks of REPLAY_BLOCK stale samples to the
+    // workers. With every epoch invalidating at least four blocks per
+    // worker at 7 threads, each worker replays several blocks out of
+    // order; the absorbed arena must still be byte-equal at 1, 2 and 7
+    // threads, and equal to the from-scratch rebuild.
+    let g = er_graph(60, 300, 9);
+    let seeds = [NodeId(0), NodeId(1)];
+    let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+    let mut rng = SmallRng::seed_from_u64(0x7EACE);
+    let mut log = MutationLog::new();
+    let history: Vec<EpochBatch> = (0..3)
+        .map(|_| {
+            for _ in 0..2 {
+                let (u, v) = edges[rng.random_range(0..edges.len())];
+                let p: f64 = rng.random_range(0.05..0.4);
+                log.set_probs(u, v, EdgeProbs::new(p, 2.0 * p).unwrap());
+            }
+            let (u, v) = edges[rng.random_range(0..edges.len())];
+            log.remove_edge(u, v);
+            let (u, v) = (rng.random_range(0..60u32), rng.random_range(0..60u32));
+            if u != v {
+                log.insert_edge(NodeId(u), NodeId(v), EdgeProbs::new(0.2, 0.4).unwrap());
+            }
+            log.seal_epoch()
+        })
+        .collect();
+    let opts = |threads: usize| MaintainerOptions {
+        target_samples: 6_000,
+        k: 3,
+        threads,
+        base_seed: 0xB10C,
+        compact_threshold: 0.2,
+        staleness: Staleness::ExactTrace,
+    };
+    let run = |threads: usize| {
+        let mut m = PoolMaintainer::build(g.clone(), seeds.to_vec(), opts(threads)).unwrap();
+        let reports: Vec<_> = history.iter().map(|b| m.apply_epoch(b).unwrap()).collect();
+        (m, reports)
+    };
+    let (reference, reference_reports) = run(1);
+    for r in &reference_reports {
+        assert!(
+            r.invalidated >= 4 * 7 * REPLAY_BLOCK,
+            "epoch {} invalidates only {} samples",
+            r.epoch,
+            r.invalidated
+        );
+    }
+    for threads in [2usize, 7] {
+        let (m, reports) = run(threads);
+        assert_eq!(
+            reports, reference_reports,
+            "reports differ at {threads} threads"
+        );
+        assert!(
+            m.pool().arena() == reference.pool().arena(),
+            "arena bytes (tombstones included) differ at {threads} threads"
+        );
+    }
+    let (_, oracle) = rebuild_from_history(&g, &seeds, &opts(7), &history);
+    assert!(reference.pool().arena().compacted() == *oracle.arena());
 }
 
 proptest! {
@@ -451,7 +518,6 @@ fn exact_mode_zero_drift_over_random_histories() {
 #[test]
 fn approximate_under_detection_is_detected_and_reported() {
     use kboost::graph::GraphBuilder;
-    use kboost::online::MutationLog;
 
     let graph = || {
         let mut b = GraphBuilder::new(3);
@@ -580,7 +646,6 @@ fn footprint_soundness_unaffected_samples_reproduce_bitwise() {
 #[test]
 fn mutation_on_untouched_nodes_invalidates_nothing() {
     use kboost::graph::GraphBuilder;
-    use kboost::online::MutationLog;
 
     // Nodes 4 and 5 are disconnected from the seeded component, so no
     // sample's node table retains them; under the approximate rule even
