@@ -25,8 +25,20 @@
 //! the per-node rounding error stays within `δ`. The paper's range
 //! refinements are implemented: each node's `c`/`f` grid is restricted to
 //! `[no-boost bound − slack, all-boost bound]`.
-
-use std::collections::HashMap;
+//!
+//! Each chain level is a dense array over its `(z, κ, x)` box: the `z`
+//! range comes from the level's activation bounds (the node's own
+//! `f`-grid at the last level) and the `x` range from the previous level's
+//! `x` range and the child's `c`-grid, through which the new `x` is
+//! monotone. The forward pass keeps two level buffers and no provenance.
+//!
+//! **Tie rule.** Every cell keeps the *first* maximum in the forward loop
+//! order `(z, c_child, x_prev, κ_prev, κ_child)` (strict `>` improves).
+//! Backtracking rebuilds the chain of the winning `b` only (all but its
+//! last level) and, level by level, re-runs one cell's improve over that
+//! cell's candidates alone, in the same order: the first maximum it finds
+//! is exactly the candidate the forward pass kept, so no provenance is
+//! stored and `dp_boost` is deterministic.
 
 use kboost_graph::NodeId;
 
@@ -73,9 +85,10 @@ impl Grid {
         }
     }
 
-    /// Index to *store* a computed probability `x` at (rounding down).
-    /// `None` when `x` falls below the grid — the entry is dropped to keep
-    /// the stored value a true lower bound.
+    /// Index of a probability `x`, rounding down and clamping into the
+    /// grid from above (a smaller value is always sound). `None` when `x`
+    /// falls below the grid — the entry is dropped to keep the stored
+    /// value a true lower bound.
     fn store_index(&self, x: f64) -> Option<usize> {
         match *self {
             Grid::Singleton(v) => (x >= v - 1e-9).then_some(0),
@@ -89,12 +102,6 @@ impl Grid {
             }
         }
     }
-
-    /// Index to *query* at probability `x`: rounds down and clamps into the
-    /// grid from above (querying at a smaller value is always sound).
-    fn query_index(&self, x: f64) -> Option<usize> {
-        self.store_index(x)
-    }
 }
 
 /// Per-node DP table: `vals[(κ·|c| + ci)·|f| + fi]`.
@@ -103,8 +110,7 @@ struct Table {
     c: Grid,
     f: Grid,
     vals: Vec<f64>,
-    /// Backtrack record per cell: `(b, level-d x-key, level-d κ)` for
-    /// non-seed internal nodes; unused elsewhere.
+    /// How each cell was reached; for non-seed internal nodes, which `b`.
     choice: Vec<ChainRef>,
 }
 
@@ -167,7 +173,94 @@ struct Ctx<'t> {
     f_bounds: Vec<(f64, f64)>,
 }
 
-impl Ctx<'_> {
+impl<'t> Ctx<'t> {
+    /// The rounding parameter (Algorithm 4, lines 1-2) and every node's
+    /// range-refined grids. Needs `k ≥ 1` and a non-empty tree.
+    fn new(tree: &'t BidirectedTree, k: usize, eps: f64) -> Self {
+        let n = tree.num_nodes();
+        let lb = greedy_boost(tree, k).boost;
+        let mass = path_mass(tree);
+        let delta = (eps * lb.max(1.0) / (2.0 * mass.total)).min(0.25);
+
+        let st_lo = TreeState::compute(tree, &[]);
+        let all_non_seeds: Vec<NodeId> = (0..n as u32)
+            .filter(|&v| !tree.is_seed(v))
+            .map(NodeId)
+            .collect();
+        let st_hi = TreeState::compute(tree, &all_non_seeds);
+
+        let mut c_grid = Vec::with_capacity(n);
+        let mut f_grid = Vec::with_capacity(n);
+        let mut c_bounds = Vec::with_capacity(n);
+        let mut f_bounds = Vec::with_capacity(n);
+        let max_q = (1.0 / delta).floor() as u64;
+        for v in 0..n as u32 {
+            let parent = tree.parent(v);
+            // c bounds: activation of v within its own subtree.
+            let (c_lo, c_hi) = if tree.is_seed(v) {
+                (1.0, 1.0)
+            } else if parent == NO_PARENT {
+                (st_lo.ap(NodeId(v)), st_hi.ap(NodeId(v)))
+            } else {
+                (
+                    st_lo.ap_leave(NodeId(v), NodeId(parent)),
+                    st_hi.ap_leave(NodeId(v), NodeId(parent)),
+                )
+            };
+            c_bounds.push((c_lo, c_hi));
+            c_grid.push(if tree.is_seed(v) {
+                Grid::Singleton(1.0)
+            } else {
+                let slack = 2.0 * delta * mass.below[v as usize];
+                let lo = (((c_lo - slack) / delta).floor().max(0.0) as u64).min(max_q);
+                let hi = (((c_hi / delta).floor() as u64) + 1).min(max_q);
+                Grid::Units {
+                    lo,
+                    hi: hi.max(lo),
+                    unit: delta,
+                }
+            });
+            // f bounds: activation of the parent outside T_v.
+            let (f_lo, f_hi) = if parent == NO_PARENT {
+                (0.0, 0.0)
+            } else if tree.is_seed(parent) {
+                (1.0, 1.0)
+            } else {
+                (
+                    st_lo.ap_leave(NodeId(parent), NodeId(v)),
+                    st_hi.ap_leave(NodeId(parent), NodeId(v)),
+                )
+            };
+            f_bounds.push((f_lo, f_hi));
+            f_grid.push(if parent == NO_PARENT {
+                Grid::Singleton(0.0)
+            } else if tree.is_seed(parent) {
+                Grid::Singleton(1.0)
+            } else {
+                let slack = 2.0 * delta * mass.above[v as usize];
+                let lo = (((f_lo - slack) / delta).floor().max(0.0) as u64).min(max_q);
+                let hi = (((f_hi / delta).floor() as u64) + 1).min(max_q);
+                Grid::Units {
+                    lo,
+                    hi: hi.max(lo),
+                    unit: delta,
+                }
+            });
+        }
+
+        let sizes = tree.subtree_sizes();
+        Ctx {
+            tree,
+            delta,
+            kmax: sizes.iter().map(|&s| k.min(s as usize)).collect(),
+            c_grid,
+            f_grid,
+            ap_empty: (0..n as u32).map(|v| st_lo.ap(NodeId(v))).collect(),
+            c_bounds,
+            f_bounds,
+        }
+    }
+
     /// `p^b_{u,v}` on the parent→v edge (0 for the root).
     fn parent_prob(&self, v: u32, b: bool) -> f64 {
         let p = self.tree.parent(v);
@@ -190,8 +283,7 @@ impl Ctx<'_> {
 /// set (Theorems 3–4, assuming the optimal boost is at least one).
 pub fn dp_boost(tree: &BidirectedTree, k: usize, eps: f64) -> DpOutcome {
     assert!(eps > 0.0, "epsilon must be positive");
-    let n = tree.num_nodes();
-    if k == 0 || n == 0 {
+    if k == 0 || tree.num_nodes() == 0 {
         return DpOutcome {
             boost_set: Vec::new(),
             dp_value: 0.0,
@@ -199,118 +291,14 @@ pub fn dp_boost(tree: &BidirectedTree, k: usize, eps: f64) -> DpOutcome {
             delta: 0.0,
         };
     }
+    let ctx = Ctx::new(tree, k, eps);
+    let delta = ctx.delta;
+    let mut scratch = Default::default();
+    let tables = build_tables(&ctx, |v, tables| {
+        build_internal(&ctx, v, tables, &mut scratch)
+    });
 
-    // --- Rounding parameter (Algorithm 4, lines 1-2) --------------------
-    let lb = greedy_boost(tree, k).boost;
-    let denom = boosted_path_mass(tree);
-    let delta = (eps * lb.max(1.0) / (2.0 * denom)).min(0.25);
-
-    // --- Range refinements ----------------------------------------------
-    let st_lo = TreeState::compute(tree, &[]);
-    let all_non_seeds: Vec<NodeId> = (0..n as u32)
-        .filter(|&v| !tree.is_seed(v))
-        .map(NodeId)
-        .collect();
-    let st_hi = TreeState::compute(tree, &all_non_seeds);
-
-    let (s_below, s_above) = rounding_slack_mass(tree);
-
-    let mut c_grid = Vec::with_capacity(n);
-    let mut f_grid = Vec::with_capacity(n);
-    let mut c_bounds = Vec::with_capacity(n);
-    let mut f_bounds = Vec::with_capacity(n);
-    let max_q = (1.0 / delta).floor() as u64;
-    for v in 0..n as u32 {
-        let parent = tree.parent(v);
-        // c bounds: activation of v within its own subtree.
-        let (c_lo, c_hi) = if tree.is_seed(v) {
-            (1.0, 1.0)
-        } else if parent == NO_PARENT {
-            (st_lo.ap(NodeId(v)), st_hi.ap(NodeId(v)))
-        } else {
-            (
-                st_lo.ap_leave(NodeId(v), NodeId(parent)),
-                st_hi.ap_leave(NodeId(v), NodeId(parent)),
-            )
-        };
-        c_bounds.push((c_lo, c_hi));
-        c_grid.push(if tree.is_seed(v) {
-            Grid::Singleton(1.0)
-        } else {
-            let slack = 2.0 * delta * s_below[v as usize];
-            let lo = (((c_lo - slack) / delta).floor().max(0.0) as u64).min(max_q);
-            let hi = (((c_hi / delta).floor() as u64) + 1).min(max_q);
-            Grid::Units {
-                lo,
-                hi: hi.max(lo),
-                unit: delta,
-            }
-        });
-        // f bounds: activation of the parent outside T_v.
-        let (f_lo, f_hi) = if parent == NO_PARENT {
-            (0.0, 0.0)
-        } else if tree.is_seed(parent) {
-            (1.0, 1.0)
-        } else {
-            (
-                st_lo.ap_leave(NodeId(parent), NodeId(v)),
-                st_hi.ap_leave(NodeId(parent), NodeId(v)),
-            )
-        };
-        f_bounds.push((f_lo, f_hi));
-        f_grid.push(if parent == NO_PARENT {
-            Grid::Singleton(0.0)
-        } else if tree.is_seed(parent) {
-            Grid::Singleton(1.0)
-        } else {
-            let slack = 2.0 * delta * s_above[v as usize];
-            let lo = (((f_lo - slack) / delta).floor().max(0.0) as u64).min(max_q);
-            let hi = (((f_hi / delta).floor() as u64) + 1).min(max_q);
-            Grid::Units {
-                lo,
-                hi: hi.max(lo),
-                unit: delta,
-            }
-        });
-    }
-
-    let sizes = tree.subtree_sizes();
-    let ctx = Ctx {
-        tree,
-        delta,
-        kmax: sizes.iter().map(|&s| k.min(s as usize)).collect(),
-        c_grid,
-        f_grid,
-        ap_empty: (0..n as u32).map(|v| st_lo.ap(NodeId(v))).collect(),
-        c_bounds,
-        f_bounds,
-    };
-
-    // --- Bottom-up tables -------------------------------------------------
-    let mut tables: Vec<Option<Table>> = (0..n).map(|_| None).collect();
-    for &v in tree.bfs_order().iter().rev() {
-        let table = if tree.children(v).is_empty() {
-            build_leaf(&ctx, v)
-        } else if tree.is_seed(v) {
-            build_seed(&ctx, v, &tables)
-        } else {
-            build_internal(&ctx, v, &tables, None)
-        };
-        tables[v as usize] = Some(table);
-    }
-
-    // --- Extract the answer at the root ----------------------------------
-    let root_table = tables[0].as_ref().expect("root table");
-    let mut best: Option<(f64, usize, usize)> = None; // (value, κ, ci)
-    for kappa in 0..=root_table.kmax {
-        for ci in 0..root_table.c.len() {
-            let val = root_table.get(kappa, ci, 0);
-            if val > f64::NEG_INFINITY && best.is_none_or(|(bv, _, _)| val > bv) {
-                best = Some((val, kappa, ci));
-            }
-        }
-    }
-    let Some((dp_value, kappa, ci)) = best else {
+    let Some((dp_value, kappa, ci)) = root_optimum(&tables) else {
         return DpOutcome {
             boost_set: Vec::new(),
             dp_value: 0.0,
@@ -335,35 +323,54 @@ pub fn dp_boost(tree: &BidirectedTree, k: usize, eps: f64) -> DpOutcome {
     }
 }
 
-/// `Σ_{u,v} Π p'` over all ordered pairs (including `u = v`, counted as 1):
-/// a conservative upper bound on the paper's `Σ p^(k)(u⇝v)`.
-fn boosted_path_mass(tree: &BidirectedTree) -> f64 {
-    let n = tree.num_nodes();
-    let mut total = 0.0;
-    let mut stack: Vec<(u32, u32, f64)> = Vec::new();
-    for src in 0..n as u32 {
-        total += 1.0; // u = v
-        stack.clear();
-        stack.push((src, src, 1.0));
-        while let Some((u, from, prod)) = stack.pop() {
-            for nb in tree.neighbors(u) {
-                if nb.id == from {
-                    continue;
-                }
-                let p = prod * nb.out.boosted;
-                if p > 1e-12 {
-                    total += p;
-                    stack.push((nb.id, u, p));
-                }
+/// Every node's table, bottom-up; `internal` builds the non-seed internal
+/// nodes' tables.
+fn build_tables(
+    ctx: &Ctx<'_>,
+    mut internal: impl FnMut(u32, &[Option<Table>]) -> Table,
+) -> Vec<Option<Table>> {
+    let tree = ctx.tree;
+    let mut tables: Vec<Option<Table>> = (0..tree.num_nodes()).map(|_| None).collect();
+    for &v in tree.bfs_order().iter().rev() {
+        let table = if tree.children(v).is_empty() {
+            build_leaf(ctx, v)
+        } else if tree.is_seed(v) {
+            build_seed(ctx, v, &tables)
+        } else {
+            internal(v, &tables)
+        };
+        tables[v as usize] = Some(table);
+    }
+    tables
+}
+
+/// The root's best `(value, κ, ci)`: the first maximum over `(κ, ci)`.
+fn root_optimum(tables: &[Option<Table>]) -> Option<(f64, usize, usize)> {
+    let root_table = tables[0].as_ref().expect("root table");
+    let mut best: Option<(f64, usize, usize)> = None;
+    for kappa in 0..=root_table.kmax {
+        for ci in 0..root_table.c.len() {
+            let val = root_table.get(kappa, ci, 0);
+            if val > f64::NEG_INFINITY && best.is_none_or(|(bv, _, _)| val > bv) {
+                best = Some((val, kappa, ci));
             }
         }
     }
-    total
+    best
 }
 
-/// Per-node rounding-error masses for the grid slack: `S_below[v]` bounds
-/// `Σ_{x∈T_v} p*(x⇝v)` and `S_above[v]` bounds `Σ_{x∉T_v} p*(x⇝parent)`.
-fn rounding_slack_mass(tree: &BidirectedTree) -> (Vec<f64>, Vec<f64>) {
+/// Boosted path masses from one `O(n²)` walk over all sources.
+struct PathMass {
+    /// `Σ_{u,v} Π p'` over all ordered pairs (including `u = v`, counted
+    /// as 1): a conservative upper bound on the paper's `Σ p^(k)(u⇝v)`.
+    total: f64,
+    /// Grid slack per node: `below[v]` bounds `Σ_{x∈T_v} p*(x⇝v)`.
+    below: Vec<f64>,
+    /// Grid slack per node: `above[v]` bounds `Σ_{x∉T_v} p*(x⇝parent)`.
+    above: Vec<f64>,
+}
+
+fn path_mass(tree: &BidirectedTree) -> PathMass {
     let n = tree.num_nodes();
     // Euler intervals for ancestry tests.
     let mut tin = vec![0u32; n];
@@ -386,10 +393,12 @@ fn rounding_slack_mass(tree: &BidirectedTree) -> (Vec<f64>, Vec<f64>) {
     let is_in_subtree =
         |x: u32, v: u32| tin[v as usize] <= tin[x as usize] && tin[x as usize] < tout[v as usize];
 
+    let mut total = 0.0;
     let mut s_below = vec![0.0f64; n]; // Σ_{x∈Tv} p'(x⇝v)
     let mut a_total = vec![0.0f64; n]; // Σ_x p'(x⇝u)
     let mut walk: Vec<(u32, u32, f64)> = Vec::new();
     for src in 0..n as u32 {
+        total += 1.0; // u = v
         s_below[src as usize] += 1.0;
         a_total[src as usize] += 1.0;
         walk.clear();
@@ -401,6 +410,7 @@ fn rounding_slack_mass(tree: &BidirectedTree) -> (Vec<f64>, Vec<f64>) {
                 }
                 let p = prod * nb.out.boosted;
                 if p > 1e-12 {
+                    total += p;
                     a_total[nb.id as usize] += p;
                     if is_in_subtree(src, nb.id) {
                         s_below[nb.id as usize] += p;
@@ -417,7 +427,11 @@ fn rounding_slack_mass(tree: &BidirectedTree) -> (Vec<f64>, Vec<f64>) {
         let p_up = tree.edge(v, parent).boosted;
         s_above[v as usize] = (a_total[parent as usize] - p_up * s_below[v as usize]).max(0.0);
     }
-    (s_below, s_above)
+    PathMass {
+        total,
+        below: s_below,
+        above: s_above,
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -516,26 +530,17 @@ fn build_seed(ctx: &Ctx<'_>, v: u32, tables: &[Option<Table>]) -> Table {
     t
 }
 
-/// Key of a helper-chain entry at one level: `(κ, x-quantum)`.
-type ChainKey = (u32, u64);
-/// One level of the helper chain: `z-quantum → (κ, x) → value`.
-type Level = HashMap<u64, HashMap<ChainKey, f64>>;
-/// Provenance of a chain entry for backtracking:
-/// `(z_prev, κ_prev, x_prev, κ_child, ci_child, fi_child)`.
-type Prov = HashMap<(usize, u64, u32, u64), (u64, u32, u64, usize, usize, usize)>;
-
-/// z-grid of level `i` (1-based, `i < d`): range of the activation arriving
-/// from the parent side plus subtrees `> i`, at resolution `unit`.
-fn z_grid(ctx: &Ctx<'_>, v: u32, i: usize, b: bool, unit: f64) -> Grid {
+/// z-range of level `i` (1-based, `i < d`) as inclusive quanta `(lo, hi)`:
+/// the activation arriving from the parent side plus subtrees `> i`, at
+/// resolution `unit`.
+fn z_grid(ctx: &Ctx<'_>, v: u32, i: usize, unit: f64) -> (u64, u64) {
     let children = ctx.tree.children(v);
-    let d = children.len();
     let (f_lo, f_hi) = ctx.f_bounds[v as usize];
     let p_lo = ctx.parent_prob(v, false);
     let p_hi = ctx.parent_prob(v, true);
-    let _ = b;
     let mut lo = 1.0 - (1.0 - f_lo * p_lo);
     let mut hi = 1.0 - (1.0 - f_hi * p_hi);
-    for &c in &children[i..d] {
+    for &c in &children[i..] {
         let (c_lo, c_hi) = ctx.c_bounds[c as usize];
         let e_lo = ctx.tree.edge(c, v).base;
         let e_hi = ctx.tree.edge(c, v).boosted;
@@ -545,147 +550,315 @@ fn z_grid(ctx: &Ctx<'_>, v: u32, i: usize, b: bool, unit: f64) -> Grid {
     let slack = 8u64;
     let lo_q = ((lo / unit).floor() as u64).saturating_sub(slack);
     let hi_q = (hi / unit).floor() as u64 + 2;
-    Grid::Units {
-        lo: lo_q,
-        hi: hi_q.max(lo_q),
-        unit,
+    (lo_q, hi_q.max(lo_q))
+}
+
+/// One level `h(b, i, ·, ·, ·)` of a node's helper chain for a fixed `b`,
+/// stored densely: `vals[((z − z_lo)·(kmax+1) + κ)·x_len + (x − x_lo)]`.
+/// Unreached cells hold `−∞`.
+#[derive(Default)]
+struct ChainLevel {
+    /// Level 0 has a single row that answers for every `z`.
+    any_z: bool,
+    z_lo: u64,
+    z_len: usize,
+    kn: usize,
+    x_lo: u64,
+    x_len: usize,
+    vals: Vec<f64>,
+}
+
+impl ChainLevel {
+    fn reset(
+        &mut self,
+        any_z: bool,
+        (z_lo, z_len): (u64, usize),
+        kn: usize,
+        (x_lo, x_len): (u64, usize),
+    ) {
+        self.any_z = any_z;
+        (self.z_lo, self.z_len) = (z_lo, z_len);
+        self.kn = kn;
+        (self.x_lo, self.x_len) = (x_lo, x_len);
+        self.vals.clear();
+        self.vals.resize(z_len * kn * x_len, f64::NEG_INFINITY);
+    }
+
+    /// Level 0: the budget `b` is spent on `v` itself, `x = 0`, any `z`.
+    fn start(&mut self, kn: usize, b: bool) {
+        self.reset(true, (0, 1), kn, (0, 1));
+        self.vals[b as usize] = 0.0;
+    }
+
+    /// Row of the `z`-quantum `zq`, if the level covers it.
+    fn row(&self, zq: u64) -> Option<usize> {
+        if self.any_z {
+            return Some(0);
+        }
+        let r = zq.checked_sub(self.z_lo)? as usize;
+        (r < self.z_len).then_some(r)
+    }
+
+    #[inline]
+    fn idx(&self, zr: usize, kappa: usize, xr: usize) -> usize {
+        (zr * self.kn + kappa) * self.x_len + xr
     }
 }
 
-/// Builds the table of a non-seed internal node via the helper chain
-/// (Algorithms 6–7 unified). With `record`, also returns provenance maps
-/// for backtracking.
+/// One candidate of a level-`i` cell: the level-`(i−1)` cell it extends,
+/// the child's `(κ_child, ci, fi)` cell, and the cell it lands in.
+#[derive(Clone, Copy)]
+struct Candidate {
+    zq: u64,
+    z_prev: u64,
+    kappa_prev: usize,
+    x_prev: u64,
+    kc: usize,
+    ci: usize,
+    fi_child: usize,
+    x_key: u64,
+    val: f64,
+}
+
+/// The helper chain of one non-seed internal node `v` for a fixed `b`
+/// (Algorithms 6–7 unified). Level `i` folds in child `i`; at the last
+/// level `z` keys are `v`'s `f`-grid indices and `x` keys its `c`-grid
+/// indices.
+struct Chain<'a, 't> {
+    ctx: &'a Ctx<'t>,
+    tables: &'a [Option<Table>],
+    v: u32,
+    b: bool,
+    /// Quantum of the intermediate `x`/`z` keys: `δ/(d−1)`.
+    unit: f64,
+    p_parent: f64,
+}
+
+impl<'a, 't> Chain<'a, 't> {
+    fn new(ctx: &'a Ctx<'t>, tables: &'a [Option<Table>], v: u32, b: bool) -> Self {
+        let d = ctx.tree.children(v).len();
+        Chain {
+            ctx,
+            tables,
+            v,
+            b,
+            unit: ctx.delta / ((d as f64) - 1.0).max(1.0),
+            p_parent: ctx.parent_prob(v, b),
+        }
+    }
+
+    fn depth(&self) -> usize {
+        self.ctx.tree.children(self.v).len()
+    }
+
+    fn kmax(&self) -> usize {
+        self.ctx.kmax[self.v as usize]
+    }
+
+    /// Child `i`'s table and the `p^b` of its edge into `v`.
+    fn child(&self, i: usize) -> (&'a Table, f64) {
+        let child = self.ctx.tree.children(self.v)[i - 1];
+        let ct = self.tables[child as usize].as_ref().expect("child table");
+        (ct, self.ctx.tree.edge(child, self.v).for_boosted(self.b))
+    }
+
+    /// Level `i`'s z keys as `(first, count)`.
+    fn z_range(&self, i: usize) -> (u64, usize) {
+        if i == self.depth() {
+            (0, self.ctx.f_grid[self.v as usize].len())
+        } else {
+            let (lo, hi) = z_grid(self.ctx, self.v, i, self.unit);
+            (lo, (hi - lo + 1) as usize)
+        }
+    }
+
+    /// The activation `y` a level-`i` z key stands for; at the last level
+    /// `y = f · p^b_{u,v}`.
+    fn y(&self, i: usize, zq: u64) -> f64 {
+        if i == self.depth() {
+            self.ctx.f_grid[self.v as usize].value(zq as usize) * self.p_parent
+        } else {
+            zq as f64 * self.unit
+        }
+    }
+
+    /// The previous level's z key (rounded down) when the child adds `m`.
+    fn z_prev(&self, m: f64, y: f64) -> u64 {
+        let z_prev_val = 1.0 - (1.0 - m) * (1.0 - y);
+        ((z_prev_val / self.unit) + 1e-9).floor() as u64
+    }
+
+    /// New accumulated `x` after a child adding `m`, from `x_prev`.
+    fn x_new(&self, xq_prev: u64, m: f64) -> f64 {
+        let x_prev = xq_prev as f64 * self.unit;
+        1.0 - (1.0 - x_prev) * (1.0 - m)
+    }
+
+    /// Key of an intermediate (not last-level) `x`.
+    fn x_key(&self, x: f64) -> u64 {
+        ((x / self.unit) + 1e-9).floor() as u64
+    }
+
+    /// Level `i`'s x keys as `(first, count)`. Every key is monotone in
+    /// `x_prev` and the child's `c`, so the corners bound it exactly.
+    fn x_range(&self, i: usize, prev: &ChainLevel, ct: &Table, p_child: f64) -> (u64, usize) {
+        if i == self.depth() {
+            return (0, self.ctx.c_grid[self.v as usize].len());
+        }
+        let lo = self.x_key(self.x_new(prev.x_lo, ct.c.value(0) * p_child));
+        let x_hi_prev = prev.x_lo + prev.x_len as u64 - 1;
+        let hi = self.x_key(self.x_new(x_hi_prev, ct.c.value(ct.c.len() - 1) * p_child));
+        (lo, (hi - lo + 1) as usize)
+    }
+
+    /// From `x_prev` with the child adding `m` and `y` arriving: the
+    /// child's `f` index and the new x key, or `None` if either falls off
+    /// its grid.
+    fn advance(&self, i: usize, ct: &Table, xq_prev: u64, m: f64, y: f64) -> Option<(usize, u64)> {
+        let x_prev = xq_prev as f64 * self.unit;
+        let f_child = 1.0 - (1.0 - x_prev) * (1.0 - y);
+        let fi_child = ct.f.store_index(f_child)?;
+        let x_new = self.x_new(xq_prev, m);
+        let x_key = if i == self.depth() {
+            self.ctx.c_grid[self.v as usize].store_index(x_new)? as u64
+        } else {
+            self.x_key(x_new)
+        };
+        Some((fi_child, x_key))
+    }
+
+    /// Visits every level-`i` candidate whose z key lies in `zs`, in the
+    /// forward loop order `(z, c_child, x_prev, κ_prev, κ_child)`.
+    fn candidates(
+        &self,
+        i: usize,
+        prev: &ChainLevel,
+        zs: std::ops::Range<u64>,
+        mut visit: impl FnMut(&Candidate),
+    ) {
+        let (ct, p_child) = self.child(i);
+        let kmax = self.kmax();
+        for zq in zs {
+            let y = self.y(i, zq);
+            for ci in 0..ct.c.len() {
+                let m = ct.c.value(ci) * p_child;
+                let z_prev = self.z_prev(m, y);
+                let Some(prow) = prev.row(z_prev) else {
+                    continue;
+                };
+                for xp in 0..prev.x_len {
+                    let x_prev = prev.x_lo + xp as u64;
+                    let Some((fi_child, x_key)) = self.advance(i, ct, x_prev, m, y) else {
+                        continue;
+                    };
+                    for kappa_prev in 0..prev.kn {
+                        let acc = prev.vals[prev.idx(prow, kappa_prev, xp)];
+                        if acc == f64::NEG_INFINITY {
+                            continue;
+                        }
+                        for kc in 0..=ct.kmax.min(kmax - kappa_prev) {
+                            let child_val = ct.get(kc, ci, fi_child);
+                            if child_val == f64::NEG_INFINITY {
+                                continue;
+                            }
+                            visit(&Candidate {
+                                zq,
+                                z_prev,
+                                kappa_prev,
+                                x_prev,
+                                kc,
+                                ci,
+                                fi_child,
+                                x_key,
+                                val: acc + child_val,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Level `i` from level `i − 1`, keeping each cell's first maximum.
+    fn step(&self, i: usize, prev: &ChainLevel, next: &mut ChainLevel) {
+        let (ct, p_child) = self.child(i);
+        let (z_lo, z_len) = self.z_range(i);
+        let x = self.x_range(i, prev, ct, p_child);
+        next.reset(false, (z_lo, z_len), self.kmax() + 1, x);
+        self.candidates(i, prev, z_lo..z_lo + z_len as u64, |c| {
+            let xr = (c.x_key - next.x_lo) as usize;
+            assert!(xr < next.x_len, "x key outside its level's range");
+            let cell = next.idx((c.zq - z_lo) as usize, c.kappa_prev + c.kc, xr);
+            if c.val > next.vals[cell] {
+                next.vals[cell] = c.val;
+            }
+        });
+    }
+
+    /// The candidate the forward pass kept for the level-`i` cell
+    /// `(zq, κ, x_key)`: the cell's improve re-run over its own candidates
+    /// only, in the forward loop order, so its first maximum wins again.
+    fn predecessor(
+        &self,
+        i: usize,
+        prev: &ChainLevel,
+        zq: u64,
+        kappa: usize,
+        x_key: u64,
+    ) -> Option<Candidate> {
+        let mut best: Option<Candidate> = None;
+        self.candidates(i, prev, zq..zq + 1, |c| {
+            if c.x_key == x_key
+                && c.kappa_prev + c.kc == kappa
+                && best.as_ref().is_none_or(|b| c.val > b.val)
+            {
+                best = Some(*c);
+            }
+        });
+        best
+    }
+}
+
+/// Builds the table of a non-seed internal node via the helper chain,
+/// swapping levels between the two `scratch` buffers.
 fn build_internal(
     ctx: &Ctx<'_>,
     v: u32,
     tables: &[Option<Table>],
-    mut record: Option<(&mut Prov, bool)>,
+    scratch: &mut [ChainLevel; 2],
 ) -> Table {
-    let tree = ctx.tree;
-    let children = tree.children(v);
-    let d = children.len();
     let kmax = ctx.kmax[v as usize];
-    let unit = ctx.delta / ((d as f64) - 1.0).max(1.0);
     let mut t = Table::new(
         kmax,
         ctx.c_grid[v as usize].clone(),
         ctx.f_grid[v as usize].clone(),
     );
-
+    let [prev, next] = scratch;
     for b in [false, true] {
         if b && kmax == 0 {
             continue;
         }
-        let p_parent = ctx.parent_prob(v, b);
-
-        // h_0: budget b consumed by boosting v, x_0 = 0, z unconstrained.
-        let mut prev: HashMap<ChainKey, f64> = HashMap::new();
-        prev.insert((b as u32, 0u64), 0.0);
-        let mut prev_level: Option<Level> = None; // None ⇒ use `prev` for any z
-
-        for i in 1..=d {
-            let child = children[i - 1];
-            let ct = tables[child as usize].as_ref().expect("child table");
-            let p_child = tree.edge(child, v).for_boosted(b);
-            let is_last = i == d;
-            let this_z: Vec<(u64, f64)> = if is_last {
-                // z_d ranges over v's own f-grid; y_d = f · p^b_{u,v}.
-                (0..t.f.len())
-                    .map(|fi| (fi as u64, t.f.value(fi) * p_parent))
-                    .collect()
-            } else {
-                match z_grid(ctx, v, i, b, unit) {
-                    Grid::Units { lo, hi, unit } => {
-                        (lo..=hi).map(|q| (q, q as f64 * unit)).collect()
-                    }
-                    Grid::Singleton(_) => unreachable!("z grids are unit grids"),
-                }
-            };
-
-            let mut level: Level = HashMap::new();
-            for &(zq, y) in &this_z {
-                for ci in 0..ct.c.len() {
-                    let c_val = ct.c.value(ci);
-                    let m = c_val * p_child;
-                    // Derive the previous level's z (rounded down).
-                    let z_prev_val = 1.0 - (1.0 - m) * (1.0 - y);
-                    let z_prev_q = ((z_prev_val / unit) + 1e-9).floor() as u64;
-                    let inner: &HashMap<ChainKey, f64> = match &prev_level {
-                        None => &prev,
-                        Some(lv) => match lookup_z(lv, z_prev_q) {
-                            Some(m) => m,
-                            None => continue,
-                        },
-                    };
-                    for (&(kappa_prev, xq_prev), &acc) in inner {
-                        let x_prev = xq_prev as f64 * unit;
-                        // f passed to the child.
-                        let f_child = 1.0 - (1.0 - x_prev) * (1.0 - y);
-                        let Some(fi_child) = ct.f.query_index(f_child) else {
-                            continue;
-                        };
-                        // New accumulated x.
-                        let x_new = 1.0 - (1.0 - x_prev) * (1.0 - m);
-                        let x_key = if is_last {
-                            match t.c.store_index(x_new) {
-                                Some(ci_v) => ci_v as u64,
-                                None => continue,
-                            }
-                        } else {
-                            ((x_new / unit) + 1e-9).floor() as u64
-                        };
-                        let k_budget = kmax - (kappa_prev as usize).min(kmax);
-                        for kc in 0..=ct.kmax.min(k_budget) {
-                            let child_val = ct.get(kc, ci, fi_child);
-                            if child_val == f64::NEG_INFINITY {
-                                continue;
-                            }
-                            let kappa_new = kappa_prev + kc as u32;
-                            let val = acc + child_val;
-                            let slot = level.entry(zq).or_default();
-                            let cell = slot.entry((kappa_new, x_key)).or_insert(f64::NEG_INFINITY);
-                            if val > *cell {
-                                *cell = val;
-                                if let Some((prov, target_b)) = record.as_mut() {
-                                    if *target_b == b {
-                                        prov.insert(
-                                            (i, zq, kappa_new, x_key),
-                                            (z_prev_q, kappa_prev, xq_prev, kc, ci, fi_child),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            prev_level = Some(level);
+        let chain = Chain::new(ctx, tables, v, b);
+        prev.start(kmax + 1, b);
+        for i in 1..=chain.depth() {
+            chain.step(i, prev, next);
+            std::mem::swap(prev, next);
         }
-
         // Finalize: level-d z keys are f indices, x keys are c indices.
-        if let Some(level) = &prev_level {
-            for (&fi, inner) in level {
-                for (&(kappa, ci), &acc) in inner {
-                    let c_val = t.c.value(ci as usize);
-                    let f_val = t.f.value(fi as usize);
-                    let val = acc + ctx.boost_term(v, b, c_val, f_val);
-                    t.improve(
-                        kappa as usize,
-                        ci as usize,
-                        fi as usize,
-                        val,
-                        ChainRef::Chain { b },
-                    );
+        for fi in 0..prev.z_len {
+            for kappa in 0..prev.kn {
+                for ci in 0..prev.x_len {
+                    let acc = prev.vals[prev.idx(fi, kappa, ci)];
+                    if acc == f64::NEG_INFINITY {
+                        continue;
+                    }
+                    let val = acc + ctx.boost_term(v, b, t.c.value(ci), t.f.value(fi));
+                    t.improve(kappa, ci, fi, val, ChainRef::Chain { b });
                 }
             }
         }
     }
     t
-}
-
-/// Exact-match z lookup.
-fn lookup_z(level: &Level, zq: u64) -> Option<&HashMap<ChainKey, f64>> {
-    level.get(&zq)
 }
 
 // --------------------------------------------------------------------------
@@ -723,26 +896,52 @@ fn backtrack(
             }
         }
         ChainRef::Chain { b } => {
-            // Recompute the chain with provenance recording, then walk it.
-            let mut prov: Prov = HashMap::new();
-            let _ = build_internal(ctx, v, tables, Some((&mut prov, b)));
             if b {
                 out.push(NodeId(v));
             }
             let children = ctx.tree.children(v);
-            let d = children.len();
-            let mut key = (d, fi as u64, kappa as u32, ci as u64);
-            for i in (1..=d).rev() {
-                let Some(&(z_prev, k_prev, x_prev, kc, ci_child, fi_child)) =
-                    prov.get(&(key.0, key.1, key.2, key.3))
-                else {
-                    break;
-                };
-                backtrack(ctx, tables, children[i - 1], kc, ci_child, fi_child, out);
-                key = (i - 1, z_prev, k_prev, x_prev);
+            for (child, kc, ci_child, fi_child) in chain_picks(ctx, tables, v, b, kappa, ci, fi) {
+                backtrack(ctx, tables, children[child], kc, ci_child, fi_child, out);
             }
         }
     }
+}
+
+/// Rebuilds the chain of the winning `b` and walks it back from the
+/// table cell `(κ, ci, fi)`: the `(child position, κ_child, ci_child,
+/// fi_child)` each level kept.
+fn chain_picks(
+    ctx: &Ctx<'_>,
+    tables: &[Option<Table>],
+    v: u32,
+    b: bool,
+    kappa: usize,
+    ci: usize,
+    fi: usize,
+) -> Vec<(usize, usize, usize, usize)> {
+    let chain = Chain::new(ctx, tables, v, b);
+    let d = chain.depth();
+    // Levels 0..d−1: the last level is only ever read through its
+    // predecessors, so it is not rebuilt.
+    let mut levels: Vec<ChainLevel> = Vec::with_capacity(d);
+    let mut level = ChainLevel::default();
+    level.start(chain.kmax() + 1, b);
+    levels.push(level);
+    for i in 1..d {
+        let mut next = ChainLevel::default();
+        chain.step(i, &levels[i - 1], &mut next);
+        levels.push(next);
+    }
+    let (mut zq, mut kappa, mut x_key) = (fi as u64, kappa, ci as u64);
+    let mut picks = Vec::with_capacity(d);
+    for i in (1..=d).rev() {
+        let p = chain
+            .predecessor(i, &levels[i - 1], zq, kappa, x_key)
+            .expect("every reached chain cell has a predecessor");
+        picks.push((i - 1, p.kc, p.ci, p.fi_child));
+        (zq, kappa, x_key) = (p.z_prev, p.kappa_prev, p.x_prev);
+    }
+    picks
 }
 
 #[cfg(test)]
@@ -752,14 +951,237 @@ mod tests {
     use kboost_graph::generators::{complete_binary_tree, random_tree};
     use kboost_graph::probability::ProbabilityModel;
     use kboost_graph::GraphBuilder;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn small_tree(seed: u64, n: usize, max_children: Option<usize>) -> BidirectedTree {
         let mut rng = SmallRng::seed_from_u64(seed);
         let topo = random_tree(n, max_children, &mut rng);
         let g = topo.into_bidirected_graph(ProbabilityModel::Constant(0.25), 2.0, &mut rng);
         BidirectedTree::from_digraph(&g, &[NodeId((seed % n as u64) as u32)]).unwrap()
+    }
+
+    /// The helper chain over one hash map per level, `z → (κ, x) →
+    /// value`: the reference the dense chain must match bit for bit.
+    fn build_internal_hashed(ctx: &Ctx<'_>, v: u32, tables: &[Option<Table>]) -> Table {
+        type Level = HashMap<u64, HashMap<(u32, u64), f64>>;
+        let tree = ctx.tree;
+        let children = tree.children(v);
+        let d = children.len();
+        let kmax = ctx.kmax[v as usize];
+        let unit = ctx.delta / ((d as f64) - 1.0).max(1.0);
+        let mut t = Table::new(
+            kmax,
+            ctx.c_grid[v as usize].clone(),
+            ctx.f_grid[v as usize].clone(),
+        );
+
+        for b in [false, true] {
+            if b && kmax == 0 {
+                continue;
+            }
+            let p_parent = ctx.parent_prob(v, b);
+
+            // h_0: budget b consumed by boosting v, x_0 = 0, z unconstrained.
+            let mut prev: HashMap<(u32, u64), f64> = HashMap::new();
+            prev.insert((b as u32, 0u64), 0.0);
+            let mut prev_level: Option<Level> = None; // None ⇒ use `prev` for any z
+
+            for i in 1..=d {
+                let child = children[i - 1];
+                let ct = tables[child as usize].as_ref().expect("child table");
+                let p_child = tree.edge(child, v).for_boosted(b);
+                let is_last = i == d;
+                let this_z: Vec<(u64, f64)> = if is_last {
+                    (0..t.f.len())
+                        .map(|fi| (fi as u64, t.f.value(fi) * p_parent))
+                        .collect()
+                } else {
+                    let (lo, hi) = z_grid(ctx, v, i, unit);
+                    (lo..=hi).map(|q| (q, q as f64 * unit)).collect()
+                };
+
+                let mut level: Level = HashMap::new();
+                for &(zq, y) in &this_z {
+                    for ci in 0..ct.c.len() {
+                        let c_val = ct.c.value(ci);
+                        let m = c_val * p_child;
+                        let z_prev_val = 1.0 - (1.0 - m) * (1.0 - y);
+                        let z_prev_q = ((z_prev_val / unit) + 1e-9).floor() as u64;
+                        let inner: &HashMap<(u32, u64), f64> = match &prev_level {
+                            None => &prev,
+                            Some(lv) => match lv.get(&z_prev_q) {
+                                Some(m) => m,
+                                None => continue,
+                            },
+                        };
+                        for (&(kappa_prev, xq_prev), &acc) in inner {
+                            let x_prev = xq_prev as f64 * unit;
+                            let f_child = 1.0 - (1.0 - x_prev) * (1.0 - y);
+                            let Some(fi_child) = ct.f.store_index(f_child) else {
+                                continue;
+                            };
+                            let x_new = 1.0 - (1.0 - x_prev) * (1.0 - m);
+                            let x_key = if is_last {
+                                match t.c.store_index(x_new) {
+                                    Some(ci_v) => ci_v as u64,
+                                    None => continue,
+                                }
+                            } else {
+                                ((x_new / unit) + 1e-9).floor() as u64
+                            };
+                            let k_budget = kmax - (kappa_prev as usize).min(kmax);
+                            for kc in 0..=ct.kmax.min(k_budget) {
+                                let child_val = ct.get(kc, ci, fi_child);
+                                if child_val == f64::NEG_INFINITY {
+                                    continue;
+                                }
+                                let kappa_new = kappa_prev + kc as u32;
+                                let val = acc + child_val;
+                                let slot = level.entry(zq).or_default();
+                                let cell =
+                                    slot.entry((kappa_new, x_key)).or_insert(f64::NEG_INFINITY);
+                                if val > *cell {
+                                    *cell = val;
+                                }
+                            }
+                        }
+                    }
+                }
+                prev_level = Some(level);
+            }
+
+            if let Some(level) = &prev_level {
+                for (&fi, inner) in level {
+                    for (&(kappa, ci), &acc) in inner {
+                        let c_val = t.c.value(ci as usize);
+                        let f_val = t.f.value(fi as usize);
+                        let val = acc + ctx.boost_term(v, b, c_val, f_val);
+                        t.improve(
+                            kappa as usize,
+                            ci as usize,
+                            fi as usize,
+                            val,
+                            ChainRef::Chain { b },
+                        );
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// `Σ_{u,v} Π p'` from a walk of its own: the reference for
+    /// `path_mass`'s total.
+    fn boosted_path_mass(tree: &BidirectedTree) -> f64 {
+        let n = tree.num_nodes();
+        let mut total = 0.0;
+        let mut stack: Vec<(u32, u32, f64)> = Vec::new();
+        for src in 0..n as u32 {
+            total += 1.0; // u = v
+            stack.clear();
+            stack.push((src, src, 1.0));
+            while let Some((u, from, prod)) = stack.pop() {
+                for nb in tree.neighbors(u) {
+                    if nb.id == from {
+                        continue;
+                    }
+                    let p = prod * nb.out.boosted;
+                    if p > 1e-12 {
+                        total += p;
+                        stack.push((nb.id, u, p));
+                    }
+                }
+            }
+        }
+        total
+    }
+
+    fn trivalency_binary_tree(seed: u64, n: usize, seeds: usize) -> BidirectedTree {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = complete_binary_tree(n).into_bidirected_graph(
+            ProbabilityModel::Trivalency,
+            2.0,
+            &mut rng,
+        );
+        let mut picked: Vec<NodeId> = Vec::new();
+        while picked.len() < seeds {
+            let s = NodeId(rng.random_range(0..n as u32));
+            if !picked.contains(&s) {
+                picked.push(s);
+            }
+        }
+        BidirectedTree::from_digraph(&g, &picked).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dense_chain_matches_hashed_oracle(
+            tree_seed in 0u64..1_000_000,
+            n in 2usize..14,
+            k in 1usize..=5,
+            eps_idx in 0usize..3,
+            seed_count in 1usize..3,
+        ) {
+            let eps = [0.2, 0.5, 1.0][eps_idx];
+            let mut rng = SmallRng::seed_from_u64(tree_seed);
+            let topo = random_tree(n, None, &mut rng);
+            let g = topo.into_bidirected_graph(ProbabilityModel::Trivalency, 2.0, &mut rng);
+            let mut seeds: Vec<NodeId> = Vec::new();
+            while seeds.len() < seed_count.min(n - 1) {
+                let s = NodeId(rng.random_range(0..n as u32));
+                if !seeds.contains(&s) {
+                    seeds.push(s);
+                }
+            }
+            let t = BidirectedTree::from_digraph(&g, &seeds).unwrap();
+
+            let ctx = Ctx::new(&t, k, eps);
+            let mut scratch = Default::default();
+            let dense = build_tables(&ctx, |v, tables| build_internal(&ctx, v, tables, &mut scratch));
+            let oracle = build_tables(&ctx, |v, tables| build_internal_hashed(&ctx, v, tables));
+            for (v, (a, b)) in dense.iter().zip(&oracle).enumerate() {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                let bits = |t: &Table| t.vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert!(bits(a) == bits(b), "node {} table differs from the oracle", v);
+                prop_assert!(a.choice == b.choice, "node {} choices differ from the oracle", v);
+            }
+            let oracle_value = root_optimum(&oracle).map_or(0.0, |(val, _, _)| val.max(0.0));
+            let out = dp_boost(&t, k, eps);
+            prop_assert_eq!(out.dp_value.to_bits(), oracle_value.to_bits());
+            prop_assert!(
+                out.boost >= out.dp_value - 1e-9,
+                "boost {} below dp value {}", out.boost, out.dp_value
+            );
+        }
+    }
+
+    #[test]
+    fn dp_boost_is_deterministic() {
+        for tree_seed in 0..100 {
+            let t = trivalency_binary_tree(tree_seed, 200, 10);
+            let first = dp_boost(&t, 10, 0.5);
+            let second = dp_boost(&t, 10, 0.5);
+            assert_eq!(first.boost_set, second.boost_set, "tree {tree_seed}");
+            assert_eq!(
+                first.boost.to_bits(),
+                second.boost.to_bits(),
+                "tree {tree_seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn path_mass_total_matches_separate_walk() {
+        let mut trees: Vec<BidirectedTree> = (0..6).map(|s| small_tree(s, 12, None)).collect();
+        trees.extend((0..4).map(|s| trivalency_binary_tree(s, 63, 3)));
+        for t in &trees {
+            assert_eq!(path_mass(t).total.to_bits(), boosted_path_mass(t).to_bits());
+        }
     }
 
     #[test]

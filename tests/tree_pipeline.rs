@@ -5,6 +5,7 @@
 
 use kboost::core::{prr_boost, BoostOptions};
 use kboost::diffusion::monte_carlo::{estimate_sigma, McConfig};
+use kboost::engine::{Algorithm, EngineBuilder};
 use kboost::graph::generators::{complete_binary_tree, random_tree};
 use kboost::graph::probability::ProbabilityModel;
 use kboost::graph::NodeId;
@@ -120,4 +121,33 @@ fn deeper_path_trees_work() {
     let dp = dp_boost(&tree, 3, 1.0);
     assert!(dp.boost >= 0.0);
     assert!(dp.boost_set.len() <= 3);
+}
+
+#[test]
+fn engine_tree_dp_matches_direct_dp_boost() {
+    // DP-Boost is deterministic, so the engine's TreeExact solve must
+    // return exactly what a direct call returns on the same tree.
+    for seed in 0..8u64 {
+        let mut rng = SmallRng::seed_from_u64(29 + seed);
+        let topo = complete_binary_tree(200);
+        let g = topo.into_bidirected_graph(ProbabilityModel::Trivalency, 2.0, &mut rng);
+        let seeds: Vec<NodeId> = (0..10u32)
+            .map(|i| NodeId((i * 37 + seed as u32 * 11) % 200))
+            .collect();
+        let tree = BidirectedTree::from_digraph(&g, &seeds).unwrap();
+        let direct = dp_boost(&tree, 10, 0.5);
+
+        let mut engine = EngineBuilder::new(g).seeds(seeds).k(10).build().unwrap();
+        let solved = engine
+            .solve(&Algorithm::TreeExact {
+                dp_epsilon: Some(0.5),
+            })
+            .unwrap();
+        assert_eq!(solved.boost_set, direct.boost_set, "seed {seed}");
+        assert_eq!(
+            solved.delta_hat.map(f64::to_bits),
+            Some(direct.boost.to_bits()),
+            "seed {seed}"
+        );
+    }
 }
